@@ -14,6 +14,7 @@ decoder re-derives the same circle boundaries from the bytes it emits.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -74,6 +75,5 @@ def position_of(seg: CircleSegmentation, offset: int) -> CirclePosition:
     """Locate a byte offset as a (circle, theta) coordinate pair."""
     if offset < 0 or offset >= seg.total_length:
         raise IndexError(f"offset {offset} outside segmented input of length {seg.total_length}")
-    starts = [start for start, _ in seg.boundaries]
-    r = bisect_right(starts, offset)
-    return CirclePosition(r, offset - starts[r - 1])
+    r = bisect_right(seg.boundaries, offset, key=itemgetter(0))
+    return CirclePosition(r, offset - seg.boundaries[r - 1][0])

@@ -8,9 +8,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import compress
 from .bench import LosslessnessError, emit_report, run_corpus
 from .circles import split_circles
-from .container import HEADER_SIZE, MAGIC, ArchiveFormatError, parse, serialize
+from .container import HEADER_SIZE, MAGIC, ArchiveFormatError, parse
 from .decoder import CorruptArchiveError, decode, undo_delta
 from .encoder import trace_encode
 
@@ -19,13 +20,13 @@ def _printable(ch: int) -> str:
     return chr(ch) if 32 <= ch <= 126 else "."
 
 
-def cmd_compress(input_path: str, output_path: str, verbose: bool = False) -> int:
+def cmd_compress(input_path: str, output_path: str) -> int:
     try:
         data = Path(input_path).read_bytes()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    archive = serialize(trace_encode(data).parts)
+    archive = compress(data)
     try:
         Path(output_path).write_bytes(archive)
     except OSError as exc:
@@ -57,7 +58,7 @@ def cmd_decompress(input_path: str, output_path: str, verbose: bool = False) -> 
     return 0
 
 
-def cmd_inspect(input_path: str, verbose: bool = False) -> int:
+def cmd_inspect(input_path: str) -> int:
     try:
         data = Path(input_path).read_bytes()
     except OSError as exc:
@@ -154,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "compress":
-        return cmd_compress(args.input, args.output, args.verbose)
+        return cmd_compress(args.input, args.output)
     if args.command == "decompress":
         return cmd_decompress(args.input, args.output, args.verbose)
     if args.command == "inspect":
-        return cmd_inspect(args.input, args.verbose)
+        return cmd_inspect(args.input)
     return cmd_bench(args.corpus_dir, args.format, args.verbose)
 
 

@@ -32,14 +32,13 @@ class CorruptArchiveError(ValueError):
 class LiveEntry:
     """Decoder-side state of one real entry."""
 
-    __slots__ = ("ch", "start", "count", "remaining", "consumed_at")
+    __slots__ = ("ch", "start", "count", "remaining")
 
     def __init__(self, ch: int, start: int, count: int):
         self.ch = ch
         self.start = start
         self.count = count
         self.remaining = count   # circles left to fill
-        self.consumed_at = 0     # circle of the most recent fill
 
     @property
     def last(self) -> int:
@@ -134,7 +133,6 @@ def decode(archive: bytes) -> bytes:
                     f"entry byte {value:#04x} duplicates circle {circle}"
                 )
             entry.remaining -= 1
-            entry.consumed_at = circle
         out.append(value)
         seen.add(value)
 

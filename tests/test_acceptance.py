@@ -7,6 +7,7 @@ built and pushed through the full pipeline exactly once; the build is
 timed because the roundtrip criterion carries the runtime target.
 """
 
+import hashlib
 import os
 import time
 from contextlib import contextmanager
@@ -143,6 +144,36 @@ def test_criterion_7_non_crossing_and_decoder_determinism(pipeline):
             checked += 1
         assert checked > 5000
         print(f"\n  {checked} archives checked", end="")
+
+
+def _periodic_with_defects():
+    """64 KiB of a 13-byte distinct unit, one defect per 1,021 bytes, in and out of the unit."""
+    data = bytearray((bytes(range(64, 77)) * 5042)[:65536])
+    for k in range(1, 64):
+        data[k * 1021] = (k * 37) % 256
+    return bytes(data)
+
+
+def test_archive_bytes_are_pinned(pipeline):
+    """Same-bytes gate: a refactor of the encoder must keep every archive byte.
+
+    The corpus digest covers every archive, each prefixed by its 4-byte
+    big-endian length.  64 KiB of zeros is one circle per byte; the
+    periodic input runs thousands of circles into the 127-circle cap.
+    """
+    _, results = pipeline
+    corpus = hashlib.sha256()
+    for _, _, archive in results:
+        corpus.update(len(archive).to_bytes(4, "big") + archive)
+    assert corpus.hexdigest() == "c2d5ae9d661746da126b8520987713d6a0860a6574fdbf270cb8cedabbace9b4"
+    zeros = serialize(encode(bytes(65536)))
+    assert hashlib.sha256(zeros).hexdigest() == (
+        "6d33869cc4811d4d04e0be11e85c6cd3adee0698ea2e50bc8a35df23b66afbda"
+    )
+    periodic = serialize(encode(_periodic_with_defects()))
+    assert hashlib.sha256(periodic).hexdigest() == (
+        "2b03894fa72570219fdaa691184a2b4dbaf0063302091242b550d7217a16c869"
+    )
 
 
 def test_criterion_8_silesia_report():
