@@ -14,11 +14,12 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccz.bench import emit_report, run_corpus
 from ccz.circles import split_circles
-from ccz.container import HEADER_SIZE, parse, serialize
-from ccz.decoder import decode
+from ccz.container import HEADER_SIZE, ArchiveFormatError, parse, serialize
+from ccz.decoder import CorruptArchiveError, decode
 from ccz.encoder import encode
 from ccz.rle import rle_encode
 
@@ -87,6 +88,7 @@ def test_criterion_3_exact_size_law(pipeline):
             assert len(archive) == HEADER_SIZE + (n + 7) // 8 + len(parts.literals) + 3 * len(
                 parts.entries
             )
+            assert serialize(parse(archive)) == archive
 
 
 def test_criterion_4_redundancy_hygiene(pipeline):
@@ -174,6 +176,28 @@ def test_archive_bytes_are_pinned(pipeline):
     assert hashlib.sha256(periodic).hexdigest() == (
         "2b03894fa72570219fdaa691184a2b4dbaf0063302091242b550d7217a16c869"
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_archives_raise_only_codec_errors(pipeline, choice):
+    """1-4 overwritten bytes in a corpus archive: decode may only raise a codec error.
+
+    When a small mutated archive still decodes, the reference decoder must
+    read it the same way.
+    """
+    _, results = pipeline
+    data, _, archive = choice.draw(st.sampled_from(results))
+    mutated = bytearray(archive)
+    for _ in range(choice.draw(st.integers(1, 4))):
+        mutated[choice.draw(st.integers(0, len(archive) - 1))] = choice.draw(st.integers(0, 255))
+    mutated = bytes(mutated)
+    try:
+        out = decode(mutated)
+    except (ArchiveFormatError, CorruptArchiveError):
+        return
+    if len(data) <= 512:
+        assert ref_decode(mutated)[0] == out
 
 
 def test_criterion_8_silesia_report():

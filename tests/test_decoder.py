@@ -79,21 +79,48 @@ def test_decode_errors_when_no_entry_is_admissible():
 
 
 def test_decode_errors_on_duplicate_byte_in_circle():
-    # two runs of the same byte over the same circles cannot coexist
-    parts = EncodedParts(
-        bytearray([1, 1, 1, 1]),
-        b"",
-        [CompressedEntry(1, ord("B"), 2), CompressedEntry(0, ord("B"), 2)],
-    )
-    with pytest.raises(CorruptArchiveError, match="duplicates circle"):
-        decode(serialize(parts))
+    # two runs of the same byte over the same circles cannot coexist, however
+    # many all-flag circles would follow the first
+    for count in (2, 12):
+        parts = EncodedParts(
+            bytearray([1] * 2 * count),
+            b"",
+            [CompressedEntry(1, ord("B"), count), CompressedEntry(0, ord("B"), count)],
+        )
+        with pytest.raises(CorruptArchiveError, match="duplicates circle"):
+            decode(serialize(parts))
 
 
 def test_decode_errors_on_entry_left_unfilled():
-    # entry covers circles 1..2 but the literals push its second flag to circle 3
-    parts = EncodedParts(bytearray([1, 0, 0, 0, 1]), b"AAA", [CompressedEntry(1, ord("B"), 2)])
-    with pytest.raises(CorruptArchiveError, match="unfilled"):
-        decode(serialize(parts))
+    cases = [
+        # entry covers circles 1..2 but the literals push its second flag to circle 3
+        ([1, 0, 0, 0, 1], b"AAA", [CompressedEntry(1, ord("B"), 2)]),
+        # nine all-flag circles "XY", then circle 10 holds "X" and the repeated
+        # literal "X" closes it before "Y" has its turn
+        (
+            [1] * 18 + [1, 0] + [1] * 21,
+            b"X",
+            [CompressedEntry(1, ord("X"), 20), CompressedEntry(0, ord("Y"), 20)],
+        ),
+    ]
+    for flags, literals, entries in cases:
+        parts = EncodedParts(bytearray(flags), literals, entries)
+        with pytest.raises(CorruptArchiveError, match="unfilled"):
+            decode(serialize(parts))
+
+
+def test_decode_steady_circles_across_entry_changes():
+    # A runs over circles 1-10, B over 1-20, C over 6-15; every byte is flagged.
+    # C starts and A ends inside the all-flag stretch.
+    data = b"AB" * 5 + b"ABC" * 5 + b"BC" * 5 + b"B" * 5
+    entries = [
+        CompressedEntry(1, ord("A"), 10),
+        CompressedEntry(0, ord("B"), 20),
+        CompressedEntry(5, ord("C"), 10),
+    ]
+    archive = serialize(EncodedParts(bytearray([1] * len(data)), b"", entries))
+    assert decode(archive) == data
+    assert ref_decode(archive)[0] == data
 
 
 def test_reference_decoder_agrees_on_examples():
