@@ -11,7 +11,7 @@ from pathlib import Path
 from . import compress
 from .bench import LosslessnessError, emit_report, run_corpus
 from .circles import split_circles
-from .container import HEADER_SIZE, MAGIC, ArchiveFormatError, parse
+from .container import MAGIC, ArchiveFormatError, parse, serialize
 from .decoder import CorruptArchiveError, decode, undo_delta
 from .encoder import trace_encode
 
@@ -107,10 +107,7 @@ def _inspect_plain(data: bytes) -> int:
             f"removed: ch={run.ch:#04x} '{_printable(run.ch)}' start={run.start}"
             f" count={run.count} offsets={list(run.occurrences)}"
         )
-    total = HEADER_SIZE + (len(data) + 7) // 8 + len(trace.parts.literals) + 3 * len(
-        trace.parts.entries
-    )
-    print(f"archive would be {total} bytes for {len(data)} input bytes")
+    print(f"archive would be {len(serialize(trace.parts))} bytes for {len(data)} input bytes")
     return 0
 
 

@@ -121,6 +121,8 @@ def decode(archive: bytes) -> bytes:
     entries = live_at(circle, [])
     k = len(entries)
     change_at = changes[-1]  # next circle whose live list differs
+    if n and flags[0] and not k:  # the loop would leave circle 1 empty
+        raise CorruptArchiveError("flagged position 0 has no admissible entry")
     ptr = 0
     it = iter(flags)
 

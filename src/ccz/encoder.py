@@ -17,12 +17,16 @@ matching rule:
   aligned run would cross a run already matched this circle, that is the
   paradox case.
 
-Runs live in a doubly linked list kept in theta order.  Two runs may never
-cross: wherever both cover a circle, the earlier run's occurrence must sit
-at the lower offset.  New runs are appended at the tail unless a live run
-with a later previous-circle occurrence forces insertion before it.  The
-list order is the serialization order, which is what lets the decoder
-match flagged positions to entries by a single forward scan per circle.
+Runs are kept in theta order.  Two runs may never cross: wherever both
+cover a circle, the earlier run's occurrence must sit at the lower offset.
+New runs are appended to the state's ``tail`` list unless a live run with
+a later previous-circle occurrence forces insertion immediately before it;
+such a run joins that run's ``before`` list.  Every run points only at runs
+created after it, so the structure holds no reference cycles and is freed
+as soon as the encoder drops it.  A post-order walk (each run's ``before``
+runs, then the run) yields the theta order, which is the serialization
+order: that is what lets the decoder match flagged positions to entries by
+a single forward scan per circle.
 
 Lookup state is a 256-slot chain table indexed by byte value holding the
 most recent run of that byte; older runs of the byte are never needed.
@@ -30,15 +34,17 @@ most recent run of that byte; older runs of the byte are never needed.
 After the scan, runs covering only two circles are uncompressed again (a
 3-byte entry saving 2 bytes is a net loss) unless dropping one would leave
 a later entry's start unreachable within a signed byte of the preceding
-reference.  Finally the surviving list is delta encoded against the
-reference rule described in :mod:`ccz.container`.
+reference.  Finally one walk over the surviving list delta encodes it
+against the reference rule described in :mod:`ccz.container`; the same
+walk finds the runs too far behind the reference base to be serialized,
+which are uncompressed as well.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .container import (
     DELTA_MAX,
@@ -56,17 +62,18 @@ class RunNode:
 
     ``occurrences`` holds the absolute input offset of the byte in every
     covered circle, innermost first, so ``len(occurrences) == count``.
+    ``before`` lists, in insertion order, the runs spliced immediately
+    before this one in theta order; it is ``None`` until there is one.
     """
 
-    __slots__ = ("ch", "start", "count", "occurrences", "order_prev", "order_next")
+    __slots__ = ("ch", "start", "count", "occurrences", "before")
 
     def __init__(self, ch: int, start: int, count: int = 2, occurrences: list[int] | None = None):
         self.ch = ch
         self.start = start
         self.count = count
         self.occurrences: list[int] = occurrences if occurrences is not None else []
-        self.order_prev: RunNode | None = None   # theta-order doubly linked list
-        self.order_next: RunNode | None = None
+        self.before: list[RunNode] | None = None
 
     @property
     def last(self) -> int:
@@ -108,15 +115,14 @@ class EncoderState:
     in the current circle and their offsets collect in ``matched`` and
     ``matched_occ``, which become ``active`` and ``active_occ`` when the
     next circle opens.  ``chains[c]`` is the most recent run of byte ``c``.
-    The linked list hanging off ``order_head`` is the global theta order.
+    ``tail`` holds the runs appended at the end of the theta order.
     """
 
     def __init__(self, data: bytes):
         self.data = data
         self.flags = bytearray(len(data))
         self.chains: list[RunNode | None] = [None] * 256
-        self.order_head: RunNode | None = None
-        self.order_tail: RunNode | None = None
+        self.tail: list[RunNode] = []
         self.circle = 1
         self.occ: dict[int, int] = {}
         self.prev_occ: dict[int, int] = {}
@@ -158,7 +164,12 @@ class EncoderState:
                 if idx <= cursor:
                     continue
                 head = chains[c] = RunNode(c, circle - 1, 2, [p, q])
-                self._splice(head, active[idx] if idx < len(active) else None)
+                if idx == len(active):
+                    self.tail.append(head)
+                elif active[idx].before is None:
+                    active[idx].before = [head]
+                else:
+                    active[idx].before.append(head)
                 active.insert(idx, head)
                 active_occ.insert(idx, p)
                 flags[p] = 1
@@ -176,31 +187,25 @@ class EncoderState:
         self.active, self.active_occ = active, active_occ
         self.matched, self.matched_occ = matched, matched_occ
 
-    def _splice(self, node: RunNode, follower: RunNode | None) -> None:
-        """Link ``node`` immediately before ``follower``, or at the tail."""
-        if follower is None:
-            node.order_prev = self.order_tail
-            if self.order_tail is not None:
-                self.order_tail.order_next = node
-            else:
-                self.order_head = node
-            self.order_tail = node
-        else:
-            node.order_prev = follower.order_prev
-            node.order_next = follower
-            if follower.order_prev is not None:
-                follower.order_prev.order_next = node
-            else:
-                self.order_head = node
-            follower.order_prev = node
-
     def run_list(self) -> list[RunNode]:
-        """All runs in theta (serialization) order."""
-        out = []
-        node = self.order_head
-        while node is not None:
-            out.append(node)
-            node = node.order_next
+        """All runs in theta (serialization) order.
+
+        A post-order walk with an explicit stack: insertions before a run
+        nest as deep as the input makes them, too deep for recursion.
+        """
+        out: list[RunNode] = []
+        stack: list[tuple[RunNode | None, Iterator[RunNode]]] = [(None, iter(self.tail))]
+        while stack:
+            owner, pending = stack[-1]
+            for node in pending:
+                if node.before is not None:
+                    stack.append((node, iter(node.before)))
+                    break
+                out.append(node)
+            else:
+                stack.pop()
+                if owner is not None:
+                    out.append(owner)
         return out
 
 
@@ -225,12 +230,29 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
 
     A gap the signed byte cannot span forward is bridged by rebase entries
     advancing the base to start - 1, leaving a real delta of +1.  A start
-    more than 128 circles behind the base cannot be serialized at all;
-    :func:`encode` never produces such a list (see ``_drop_inexpressible``),
-    so a direct call with one raises ``ValueError``.
+    more than 128 circles behind the base cannot be serialized at all, so a
+    list with one raises ``ValueError``; :func:`encode` uncompresses such
+    runs instead.
+    """
+    entries, behind = _delta_encode(run_list)
+    if behind:
+        raise ValueError(f"run start {behind[0].start} is too far behind the reference base")
+    return entries
+
+
+def _delta_encode(run_list: Iterable[RunNode]) -> tuple[list[CompressedEntry], list[RunNode]]:
+    """Entries for the serializable runs, plus the runs left ``behind``.
+
+    Rebases only move the base forward, so a start more than 128 circles
+    behind it cannot be serialized.  Such a run never updates the reference
+    (its reach is below the base), so skipping it leaves every other delta
+    unchanged.  It takes nested insertions under the count cap, yet is not
+    rare: 5 to 10 of the benchmark's 1,000 short mixed inputs and some
+    256 KiB inputs, all periodic with defects, have one.
     """
     ctx = DeltaContext()
     out: list[CompressedEntry] = []
+    behind: list[RunNode] = []
     for node in run_list:
         delta = node.start - ctx.base
         if delta > DELTA_MAX:
@@ -240,12 +262,11 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
                 ctx.advance(hop)
             delta = 1
         elif delta < DELTA_MIN:
-            raise ValueError(
-                f"run start {node.start} is {-delta} circles behind the reference base"
-            )
+            behind.append(node)
+            continue
         out.append(CompressedEntry(delta, node.ch, node.count))
         ctx.observe(node.start, node.count)
-    return out
+    return out, behind
 
 
 def remove_redundant_entries(
@@ -262,9 +283,8 @@ def remove_redundant_entries(
     every surviving count-2 entry is justified against the final list.
     Returns the surviving runs plus rewritten flags and literals.
     """
-    flags = bytearray(flags)
     surviving = list(run_list)
-    flipped: dict[int, int] = {}
+    removed: list[RunNode] = []
     changed = True
     while changed:
         changed = False
@@ -272,15 +292,13 @@ def remove_redundant_entries(
         kept: list[RunNode] = []
         for i, node in enumerate(surviving):
             if node.count == 2 and _removal_is_safe(surviving, i, ctx):
-                for off in node.occurrences:
-                    flags[off] = 0
-                    flipped[off] = node.ch
+                removed.append(node)
                 changed = True
                 continue
             ctx.observe(node.start, node.count)
             kept.append(node)
         surviving = kept
-    return surviving, flags, _reinsert_literals(flags, literals, flipped)
+    return (surviving, *_uncompress(removed, flags, literals))
 
 
 def _removal_is_safe(run_list: Sequence[RunNode], i: int, ctx: DeltaContext) -> bool:
@@ -296,75 +314,52 @@ def _removal_is_safe(run_list: Sequence[RunNode], i: int, ctx: DeltaContext) -> 
     return True
 
 
-def _reinsert_literals(flags: bytearray, literals: bytes, flipped: dict[int, int]) -> bytes:
-    """Rebuild the literal stream after some flags were flipped back to 0."""
+def _uncompress(
+    runs: Iterable[RunNode], flags: bytearray, literals: bytes
+) -> tuple[bytearray, bytes]:
+    """Flip the bytes of ``runs`` back to literals.
+
+    Returns a new flag array and the literal stream with each flipped byte
+    inserted at its place among the old literals.
+    """
+    flags = bytearray(flags)
+    flipped: dict[int, int] = {}
+    for node in runs:
+        for off in node.occurrences:
+            flags[off] = 0
+            flipped[off] = node.ch
     if not flipped:
-        return literals
+        return flags, literals
     out = bytearray()
     old = iter(literals)
     for off, flag in enumerate(flags):
-        if flag:
-            continue
-        out.append(flipped[off] if off in flipped else next(old))
-    return bytes(out)
+        if not flag:
+            out.append(flipped[off] if off in flipped else next(old))
+    return flags, bytes(out)
 
 
-def _drop_inexpressible(
-    run_list: Sequence[RunNode], flags: bytearray, literals: bytes
-) -> tuple[list[RunNode], bytearray, bytes, list[RunNode]]:
-    """Uncompress runs whose delta would underflow the signed byte.
-
-    Rebases only move the base forward, so a start far behind it cannot be
-    serialized.  Such a run can never update the reference (its reach is
-    below the base), hence dropping it leaves every other delta unchanged
-    and one forward pass suffices.  Reachable only through nested run
-    insertions under the count cap, which is not rare: it fires on 5 to 10
-    of the benchmark's 1,000 short mixed inputs, all of them periodic with
-    defects, and on some 256 KiB periodic inputs with defects.
-    """
-    ctx = DeltaContext()
-    kept: list[RunNode] = []
-    dropped: list[RunNode] = []
-    flipped: dict[int, int] = {}
-    for node in run_list:
-        delta = node.start - ctx.base
-        if delta > DELTA_MAX:
-            ctx.advance(node.start - 1 - ctx.base)  # mirror the rebase emission
-        elif delta < DELTA_MIN:
-            dropped.append(node)
-            for off in node.occurrences:
-                flags[off] = 0
-                flipped[off] = node.ch
-            continue
-        kept.append(node)
-        ctx.observe(node.start, node.count)
-    if not flipped:
-        return list(run_list), flags, literals, []
-    return kept, flags, _reinsert_literals(flags, literals, flipped), dropped
-
-
-def _encode_pipeline(data: bytes) -> tuple[EncodedParts, list[RunNode], list[RunNode]]:
+def _encode_pipeline(
+    data: bytes,
+) -> tuple[EncodedParts, list[RunNode], list[RunNode], list[RunNode]]:
+    """Parts, plus the runs found, those left by pruning, and those left behind."""
     state = EncoderState(data)
     state.run()
-    all_runs = state.run_list()
+    found = state.run_list()
     literals = bytes(compress(data, map(not_, state.flags)))
-
-    surviving, flags, literals = remove_redundant_entries(all_runs, state.flags, literals)
-    kept_ids = {id(node) for node in surviving}
-    removed = [node for node in all_runs if id(node) not in kept_ids]
-    surviving, flags, literals, dropped = _drop_inexpressible(surviving, flags, literals)
-    removed.extend(dropped)
-
-    parts = EncodedParts(flags, literals, delta_encode_entries(surviving))
-    return parts, surviving, removed
+    pruned, flags, literals = remove_redundant_entries(found, state.flags, literals)
+    entries, behind = _delta_encode(pruned)
+    flags, literals = _uncompress(behind, flags, literals)
+    return EncodedParts(flags, literals, entries), found, pruned, behind
 
 
 def trace_encode(data: bytes) -> EncodeTrace:
     """Encode ``data`` and report every kept and uncompressed run."""
-    parts, surviving, removed = _encode_pipeline(data)
+    parts, found, pruned, behind = _encode_pipeline(data)
+    pruned_set, behind_set = set(pruned), set(behind)
+    removed = [node for node in found if node not in pruned_set] + behind
     return EncodeTrace(
         parts,
-        tuple(_summary(node) for node in surviving),
+        tuple(_summary(node) for node in pruned if node not in behind_set),
         tuple(_summary(node) for node in removed),
     )
 

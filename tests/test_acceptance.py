@@ -156,12 +156,18 @@ def _periodic_with_defects():
     return bytes(data)
 
 
+def _nested_insertions():
+    """12,000 bytes in which every new run is spliced before the previous one, 2,000 deep."""
+    return b"".join(bytes([0, 1 + k % 250, 1 + (k - 1) % 250]) * 2 for k in range(1, 2001))
+
+
 def test_archive_bytes_are_pinned(pipeline):
     """Same-bytes gate: a refactor of the encoder must keep every archive byte.
 
     The corpus digest covers every archive, each prefixed by its 4-byte
     big-endian length.  64 KiB of zeros is one circle per byte; the
-    periodic input runs thousands of circles into the 127-circle cap.
+    periodic input runs thousands of circles into the 127-circle cap; the
+    nested input orders its runs deeper than Python's recursion limit.
     """
     _, results = pipeline
     corpus = hashlib.sha256()
@@ -175,6 +181,10 @@ def test_archive_bytes_are_pinned(pipeline):
     periodic = serialize(encode(_periodic_with_defects()))
     assert hashlib.sha256(periodic).hexdigest() == (
         "2b03894fa72570219fdaa691184a2b4dbaf0063302091242b550d7217a16c869"
+    )
+    nested = serialize(encode(_nested_insertions()))
+    assert hashlib.sha256(nested).hexdigest() == (
+        "f744d18668f9bb6413c23581df8dca3eeb5d63d5ec2936a112a8930f0e1931d4"
     )
 
 

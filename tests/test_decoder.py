@@ -72,10 +72,18 @@ def test_decode_golden_archives():
 
 
 def test_decode_errors_when_no_entry_is_admissible():
-    # the only entry starts at circle 5; both flags are in circles 1 and 2
-    parts = EncodedParts(bytearray([1, 1]), b"", [CompressedEntry(5, ord("B"), 2)])
-    with pytest.raises(CorruptArchiveError, match="no admissible entry"):
-        decode(serialize(parts))
+    zeros = encode(bytes(4))
+    assert zeros.entries == [CompressedEntry(1, 0, 4)]
+    cases = [
+        # the only entry starts at circle 5; both flags are in circles 1 and 2
+        EncodedParts(bytearray([1, 1]), b"", [CompressedEntry(5, ord("B"), 2)]),
+        # the archive of bytes(4) with its run moved to circles 2-5: circle 1
+        # would be empty
+        EncodedParts(zeros.flags, zeros.literals, [CompressedEntry(2, 0, 4)]),
+    ]
+    for parts in cases:
+        with pytest.raises(CorruptArchiveError, match="no admissible entry"):
+            decode(serialize(parts))
 
 
 def test_decode_errors_on_duplicate_byte_in_circle():

@@ -1,6 +1,10 @@
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccz import compress
 from ccz.container import CompressedEntry, serialize
 from ccz.decoder import decode
 from ccz.encoder import (
@@ -54,6 +58,19 @@ def test_trace_reports_removed_runs():
     assert [(r.ch, r.start, r.count, r.occurrences) for r in trace.removed] == [
         (ord("E"), 1, 2, (2, 7))
     ]
+
+
+def test_compress_leaves_no_cyclic_garbage():
+    # The theta order must free itself by reference counting: a full
+    # collection after compress finds nothing unreachable.
+    data = bytes(random.Random(4).choices(b"ACGT", k=65536))
+    gc.collect()
+    gc.disable()
+    try:
+        compress(data)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def run(ch, start, count):
