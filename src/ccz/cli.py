@@ -67,7 +67,7 @@ def cmd_inspect(input_path: str) -> int:
     if data[:4] == MAGIC:
         try:
             return _inspect_archive(data)
-        except ArchiveFormatError as exc:
+        except (ArchiveFormatError, CorruptArchiveError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     return _inspect_plain(data)
@@ -75,12 +75,12 @@ def cmd_inspect(input_path: str) -> int:
 
 def _inspect_archive(data: bytes) -> int:
     parts = parse(data)
+    live_iter = iter(undo_delta(parts.entries))  # raises before anything is printed
     print(
         f"magic={MAGIC.decode()} version=1 original_len={len(parts.flags)}"
         f" literal_len={len(parts.literals)} entry_count={len(parts.entries)}"
         f" archive_size={len(data)}"
     )
-    live_iter = iter(undo_delta(parts.entries))
     for i, entry in enumerate(parts.entries):
         if entry.is_rebase:
             print(f"entry {i}: rebase advance={entry.delta}")

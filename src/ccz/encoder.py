@@ -31,18 +31,31 @@ a single forward scan per circle.
 Lookup state is a 256-slot chain table indexed by byte value holding the
 most recent run of that byte; older runs of the byte are never needed.
 
+Repeated circles are copied in one step.  When circle r opens and every
+byte of circle r-1 was matched, each of those bytes is covered by a run
+ending at r-1, and ``active`` holds these runs in offset order.  If the
+input repeats circle r-1 from there on, the rule above extends each run
+in turn: the chain table holds it, the bisect over ``active_occ`` finds it
+at the index just past the cursor, and no start or paradox can occur.  So
+k repeats extend every run by k circles, in the same order, which is done
+at once, up to the first of the count cap, ``upto`` and a changed byte;
+the byte loop takes over from there.  Only stretches of at least
+``2 + 16 // size`` repeats are copied, so inputs without them pay one
+``startswith`` per fully matched circle.
+
 After the scan, runs covering only two circles are uncompressed again (a
 3-byte entry saving 2 bytes is a net loss) unless dropping one would leave
 a later entry's start unreachable within a signed byte of the preceding
 reference.  Finally one walk over the surviving list delta encodes it
 against the reference rule described in :mod:`ccz.container`; the same
 walk finds the runs too far behind the reference base to be serialized,
-which are uncompressed as well.
+which are uncompressed as well.  :func:`encode` clears the flags of both
+kinds of uncompressed runs and builds the literal stream once, at the end.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import not_
 from typing import Iterable, Iterator, Sequence
 
@@ -55,6 +68,10 @@ from .container import (
     DeltaContext,
     EncodedParts,
 )
+
+# Repeated circles are copied in one step only from 2 + _STEADY_BYTES // size
+# repeats on; see _steady_repeats.
+_STEADY_BYTES = 16
 
 
 class RunNode:
@@ -143,11 +160,33 @@ class EncoderState:
         active, active_occ = self.active, self.active_occ
         matched, matched_occ = self.matched, self.matched_occ
         # Circle 1 needs no case of its own: prev_occ is empty and no run exists yet.
-        for q, c in enumerate(data[self._pos:upto], self._pos):
+        it = enumerate(data[self._pos:upto], self._pos)
+        for q, c in it:
             if c in occ:
                 circle += 1
                 prev_occ, occ, cursor = occ, {}, -1
                 active, active_occ, matched, matched_occ = matched, matched_occ, [], []
+                size = len(prev_occ)
+                reps = len(active) == size and _steady_repeats(data, q, size, active, upto)
+                if reps:
+                    # Every run of the previous circle extends once per repeat,
+                    # in order; leave the state the byte loop would leave.
+                    span = reps * size
+                    for node in active:
+                        off = node.occurrences[-1]
+                        node.count += reps
+                        node.occurrences.extend(range(off + size, off + span + 1, size))
+                    flags[q:q + span] = b"\x01" * span
+                    circle += reps - 1
+                    end = q + span
+                    unit = data[q - size:q]
+                    prev_occ = dict(zip(unit, range(end - 2 * size, end - size)))
+                    occ = dict(zip(unit, range(end - size, end)))
+                    active_occ = list(range(end - 2 * size, end - size))
+                    matched, matched_occ = active.copy(), list(range(end - size, end))
+                    cursor = size - 1
+                    next(islice(it, span - 1, span - 1), None)
+                    continue
             occ[c] = q
             head = chains[c]
             if head is not None and head.start + head.count == circle and head.count < MAX_COUNT:
@@ -207,6 +246,33 @@ class EncoderState:
                 if owner is not None:
                     out.append(owner)
         return out
+
+
+def _steady_repeats(data: bytes, q: int, size: int, active: list[RunNode], upto: int) -> int:
+    """Whole repeats of the ``size``-byte circle before ``q`` to copy from ``q`` on.
+
+    The count is capped by the slack of the fullest run in ``active`` and by
+    ``upto``; 0 means the byte loop goes on.  A stretch of fewer than
+    ``2 + _STEADY_BYTES // size`` repeats is left to the byte loop, so that
+    short circles that recur only a few times do not pay for the count.
+    """
+    unit = data[q - size:q]
+    least = 2 + _STEADY_BYTES // size
+    if not data.startswith(unit * least, q):
+        return 0
+    limit = min(MAX_COUNT - max(node.count for node in active), (upto - q) // size)
+    if limit <= least:
+        return max(limit, 0)
+    if data.startswith(unit * limit, q):
+        return limit
+    present, absent = least, limit  # repeats known present, and known absent
+    while absent - present > 1:
+        mid = (present + absent) // 2
+        if data.startswith(unit * mid, q):
+            present = mid
+        else:
+            absent = mid
+    return present
 
 
 def paradox_check(state: EncoderState, c: int) -> bool:
@@ -283,6 +349,12 @@ def remove_redundant_entries(
     every surviving count-2 entry is justified against the final list.
     Returns the surviving runs plus rewritten flags and literals.
     """
+    surviving, removed = _prune(run_list)
+    return (surviving, *_uncompress(removed, flags, literals))
+
+
+def _prune(run_list: Sequence[RunNode]) -> tuple[list[RunNode], list[RunNode]]:
+    """The fixpoint of :func:`remove_redundant_entries`: (kept, removed) runs."""
     surviving = list(run_list)
     removed: list[RunNode] = []
     changed = True
@@ -298,7 +370,7 @@ def remove_redundant_entries(
             ctx.observe(node.start, node.count)
             kept.append(node)
         surviving = kept
-    return (surviving, *_uncompress(removed, flags, literals))
+    return surviving, removed
 
 
 def _removal_is_safe(run_list: Sequence[RunNode], i: int, ctx: DeltaContext) -> bool:
@@ -345,10 +417,13 @@ def _encode_pipeline(
     state = EncoderState(data)
     state.run()
     found = state.run_list()
-    literals = bytes(compress(data, map(not_, state.flags)))
-    pruned, flags, literals = remove_redundant_entries(found, state.flags, literals)
+    pruned, removed = _prune(found)
     entries, behind = _delta_encode(pruned)
-    flags, literals = _uncompress(behind, flags, literals)
+    flags = state.flags
+    for node in chain(removed, behind):
+        for off in node.occurrences:
+            flags[off] = 0
+    literals = bytes(compress(data, map(not_, flags)))
     return EncodedParts(flags, literals, entries), found, pruned, behind
 
 

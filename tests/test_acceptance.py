@@ -161,13 +161,29 @@ def _nested_insertions():
     return b"".join(bytes([0, 1 + k % 250, 1 + (k - 1) % 250]) * 2 for k in range(1, 2001))
 
 
+def _steady_edges():
+    """36,365 bytes of repeated circles ending every way a bulk copy of them can end.
+
+    256-byte circles past the count cap, a byte changed mid-circle, one-byte
+    circles, an order flip, and input that ends inside a repeat.
+    """
+    return b"".join([
+        bytes(range(256)) * 130,
+        b"ABCDEFG" * 200 + b"ABCXEFG" + b"ABCDEFG" * 60,
+        bytes(300),
+        b"\x00\x01" * 400 + b"\x01\x00" * 3,
+        b"XYZ" * 50 + b"XY",
+    ])
+
+
 def test_archive_bytes_are_pinned(pipeline):
     """Same-bytes gate: a refactor of the encoder must keep every archive byte.
 
     The corpus digest covers every archive, each prefixed by its 4-byte
     big-endian length.  64 KiB of zeros is one circle per byte; the
     periodic input runs thousands of circles into the 127-circle cap; the
-    nested input orders its runs deeper than Python's recursion limit.
+    nested input orders its runs deeper than Python's recursion limit; the
+    steady-edges input stops copies of repeated circles in every way.
     """
     _, results = pipeline
     corpus = hashlib.sha256()
@@ -185,6 +201,10 @@ def test_archive_bytes_are_pinned(pipeline):
     nested = serialize(encode(_nested_insertions()))
     assert hashlib.sha256(nested).hexdigest() == (
         "f744d18668f9bb6413c23581df8dca3eeb5d63d5ec2936a112a8930f0e1931d4"
+    )
+    steady = serialize(encode(_steady_edges()))
+    assert len(steady) == 6192 and hashlib.sha256(steady).hexdigest() == (
+        "1241a55652265bbf3a5d3d7e24cb1748463df6fa04cbad382ff732e325f245a9"
     )
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ccz import compress
 from ccz.cli import main
 
 
@@ -98,6 +99,17 @@ def test_inspect_archive(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "original_len=6" in out and "entry_count=1" in out
     assert "delta=+1 ch=0x42 'B' count=3 start_circle=1" in out
+
+
+def test_inspect_corrupt_archive_reports_error(tmp_path, capsys):
+    archive = tmp_path / "zeros.ccz"
+    tampered = bytearray(compress(bytes(4)))
+    tampered[-3] = 0xFF  # the only entry's delta: start circle 0 - 1
+    archive.write_bytes(bytes(tampered))
+    assert main(["inspect", str(archive)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "start circle" in captured.err
 
 
 def test_bench_markdown_and_csv(tmp_path, capsys):

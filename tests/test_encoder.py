@@ -18,6 +18,7 @@ from ccz.encoder import (
 )
 
 from oracles import chain_circles, underflow_input
+from test_acceptance import _steady_edges
 
 
 def test_encode_paradox_example():
@@ -173,6 +174,60 @@ class TestParadoxCheck:
         state = EncoderState(b"THEPHONEBLAH")
         state.feed_prefix(7)  # circle 2: H matched, O and N literal
         assert paradox_check(state, ord("E")) is False
+
+
+def _split_inputs():
+    """Each input with a cut right after a copy of repeated circles that a new byte extends."""
+    periodic = bytearray(b"ABCDEFG" * 1200)
+    for k, byte in ((500, "C"), (2300, "Q"), (4100, "A"), (6001, "Z")):
+        periodic[k] = ord(byte)  # in-unit and out-of-unit defects
+    periodic[3500:3500] = b"Q"  # a new byte right after a whole repeat
+    edges = _steady_edges()
+    return {
+        "steady_edges": (edges, edges.index(bytes(300))),  # zeros after 'ABCDEFG'
+        "zeros": (bytes(5000), 2000),
+        "periodic": (bytes(periodic), 3500),
+    }
+
+
+@pytest.mark.parametrize("name", ["steady_edges", "zeros", "periodic"])
+def test_feed_prefix_splits_change_nothing(name):
+    # A copy of repeated circles stops at upto, so every cut hands the state
+    # over at a different point of a copy.  A state fed one byte at a time
+    # copies at most one one-byte circle per call: it stands for the byte loop.
+    data, after_copy = _split_inputs()[name]
+    whole = EncoderState(data)
+    whole.run()
+    rng = random.Random(f"splits-{name}")
+    for _ in range(4):
+        state, bytewise, fed = EncoderState(data), EncoderState(data), 0
+        for cut in sorted(rng.sample(range(1, len(data)), 6) + [after_copy]):
+            state.feed_prefix(cut)
+            for fed in range(fed + 1, cut + 1):
+                bytewise.feed_prefix(fed)
+            once = EncoderState(data)
+            once.feed_prefix(cut)
+            assert _snapshot(state) == _snapshot(once) == _snapshot(bytewise)
+            assert [paradox_check(state, c) for c in range(256)] == [
+                paradox_check(once, c) for c in range(256)
+            ]
+        state.run()
+        assert bytes(state.flags) == bytes(whole.flags)
+        assert _run_tuples(state) == _run_tuples(whole)
+
+
+def _snapshot(state):
+    def runs(nodes):
+        return [(r.ch, r.start, r.count) for r in nodes]
+
+    return (
+        state.circle, state.cursor, state.occ, state.prev_occ, state.active_occ,
+        state.matched_occ, runs(state.active), runs(state.matched), bytes(state.flags),
+    )
+
+
+def _run_tuples(state):
+    return [(r.ch, r.start, r.count, list(r.occurrences)) for r in state.run_list()]
 
 
 def test_underflow_run_is_uncompressed():
