@@ -19,17 +19,29 @@ matching rule:
 
 Runs are kept in theta order.  Two runs may never cross: wherever both
 cover a circle, the earlier run's occurrence must sit at the lower offset.
-New runs are appended to the state's ``tail`` list unless a live run with
-a later previous-circle occurrence forces insertion immediately before it;
-such a run joins that run's ``before`` list.  Every run points only at runs
-created after it, so the structure holds no reference cycles and is freed
-as soon as the encoder drops it.  A post-order walk (each run's ``before``
-runs, then the run) yields the theta order, which is the serialization
-order: that is what lets the decoder match flagged positions to entries by
-a single forward scan per circle.
+A new run goes to the end of the theta order unless a live run with a
+later previous-circle occurrence forces insertion immediately before it.
+The theta order is the serialization order: that is what lets the decoder
+match flagged positions to entries by a single forward scan per circle.
 
-Lookup state is a 256-slot chain table indexed by byte value holding the
-most recent run of that byte; older runs of the byte are never needed.
+The run table holds no object per run.  It is a set of ``list[int]``
+columns indexed by run id, ids counting up in creation order: ``ch``,
+``start`` (first circle), ``count``, ``first`` and ``last`` (the input
+offsets of the byte in the first and the last circle covered), and
+``prev``, the id of the run before it in theta order.  Either kind of
+insertion changes only the predecessor of one run, so ``prev`` links are
+all the theta order needs: walked back from ``last_run`` and reversed,
+they give it.  The lookup state is a 256-slot chain table indexed by byte
+value holding the id of the most recent run of that byte (-1 for none);
+older runs of the byte are never needed.  Since ints are not tracked by
+the garbage collector, finding runs leaves nothing for it to scan, and the
+table cannot form a reference cycle.
+
+A run's other offsets need no storage.  A byte occurs at most once per
+circle, and circles are contiguous, so a run's occurrences are exactly the
+places of its byte in ``data[first:last + 1]``.  They are derived only
+where they are read: for the :class:`RunNode` views of the staged API, for
+traces, and to uncompress runs left behind the reference base.
 
 Repeated circles are copied in one step.  When circle r opens and every
 byte of circle r-1 was matched, each of those bytes is covered by a run
@@ -38,8 +50,9 @@ input repeats circle r-1 from there on, the rule above extends each run
 in turn: the chain table holds it, the bisect over ``active_occ`` finds it
 at the index just past the cursor, and no start or paradox can occur.  So
 k repeats extend every run by k circles, in the same order, which is done
-at once, up to the first of the count cap, ``upto`` and a changed byte;
-the byte loop takes over from there.  Only stretches of at least
+at once (each count grows by k and each ``last`` by k circle sizes), up
+to the first of the count cap, ``upto`` and a changed byte; the byte loop
+takes over from there.  Only stretches of at least
 ``2 + 16 // size`` repeats are copied, so inputs without them pay one
 ``startswith`` per fully matched circle.
 
@@ -50,14 +63,17 @@ reference.  Finally one walk over the surviving list delta encodes it
 against the reference rule described in :mod:`ccz.container`; the same
 walk finds the runs too far behind the reference base to be serialized,
 which are uncompressed as well.  :func:`encode` clears the flags of both
-kinds of uncompressed runs and builds the literal stream once, at the end.
+kinds of uncompressed runs (a pruned run covers two circles, so its flags
+sit at ``first`` and ``last``) and builds the literal stream once, at the
+end.  Pruning and delta coding work on run ids and the columns; the public
+:func:`remove_redundant_entries` and :func:`delta_encode_entries` lay a
+list of :class:`RunNode` out the same way and call the same code.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from operator import not_
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, islice
+from typing import Iterable, Sequence
 
 from .container import (
     DELTA_MAX,
@@ -73,24 +89,26 @@ from .container import (
 # repeats on; see _steady_repeats.
 _STEADY_BYTES = 16
 
+# Flips 0/1 flags into literal selectors for itertools.compress.
+_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 class RunNode:
-    """One detected run: a byte value recurring in consecutive circles.
+    """One run as a standalone record, for the staged API.
 
     ``occurrences`` holds the absolute input offset of the byte in every
     covered circle, innermost first, so ``len(occurrences) == count``.
-    ``before`` lists, in insertion order, the runs spliced immediately
-    before this one in theta order; it is ``None`` until there is one.
+    :meth:`EncoderState.run_list` builds these views on request; the
+    encoder itself keeps runs as columns of ints.
     """
 
-    __slots__ = ("ch", "start", "count", "occurrences", "before")
+    __slots__ = ("ch", "start", "count", "occurrences")
 
     def __init__(self, ch: int, start: int, count: int = 2, occurrences: list[int] | None = None):
         self.ch = ch
         self.start = start
         self.count = count
         self.occurrences: list[int] = occurrences if occurrences is not None else []
-        self.before: list[RunNode] | None = None
 
     @property
     def last(self) -> int:
@@ -123,29 +141,38 @@ class EncodeTrace:
 class EncoderState:
     """Mutable scan state over one input stream.
 
+    The run table is the columns ``ch``, ``start``, ``count``, ``first``,
+    ``last`` and ``prev``, indexed by run id (see the module docstring);
+    ``last_run`` is the id of the last run in theta order, -1 while there
+    is none, and ``chains[c]`` the id of the most recent run of byte ``c``.
     ``circle`` is the 1-based index of the circle being scanned and
     ``occ`` maps each of its bytes to its offset; ``prev_occ`` is the same
-    dict for the previous circle.  ``active`` lists the runs covering the
-    previous circle in theta order, ``active_occ`` their offsets there, and
-    ``cursor`` is the index in ``active`` of the last run matched or
-    created in the current circle, -1 at every circle start.  Runs matched
-    in the current circle and their offsets collect in ``matched`` and
-    ``matched_occ``, which become ``active`` and ``active_occ`` when the
-    next circle opens.  ``chains[c]`` is the most recent run of byte ``c``.
-    ``tail`` holds the runs appended at the end of the theta order.
+    dict for the previous circle.  ``active`` lists the ids of the runs
+    covering the previous circle in theta order, ``active_occ`` their
+    offsets there, and ``cursor`` is the index in ``active`` of the last run
+    matched or created in the current circle, -1 at every circle start.
+    Runs matched in the current circle and their offsets collect in
+    ``matched`` and ``matched_occ``, which become ``active`` and
+    ``active_occ`` when the next circle opens.
     """
 
     def __init__(self, data: bytes):
         self.data = data
         self.flags = bytearray(len(data))
-        self.chains: list[RunNode | None] = [None] * 256
-        self.tail: list[RunNode] = []
+        self.ch: list[int] = []
+        self.start: list[int] = []
+        self.count: list[int] = []
+        self.first: list[int] = []
+        self.last: list[int] = []
+        self.prev: list[int] = []
+        self.last_run = -1
+        self.chains = [-1] * 256
         self.circle = 1
         self.occ: dict[int, int] = {}
         self.prev_occ: dict[int, int] = {}
-        self.active: list[RunNode] = []
+        self.active: list[int] = []
         self.active_occ: list[int] = []
-        self.matched: list[RunNode] = []
+        self.matched: list[int] = []
         self.matched_occ: list[int] = []
         self.cursor = -1
         self._pos = 0                        # next offset to process
@@ -156,6 +183,10 @@ class EncoderState:
     def feed_prefix(self, upto: int) -> None:
         """Process all offsets below ``upto``, opening a circle that starts there."""
         data, flags, chains = self.data, self.flags, self.chains
+        run_ch, start, count, first, last, prev = (
+            self.ch, self.start, self.count, self.first, self.last, self.prev
+        )
+        last_run = self.last_run
         circle, occ, prev_occ, cursor = self.circle, self.occ, self.prev_occ, self.cursor
         active, active_occ = self.active, self.active_occ
         matched, matched_occ = self.matched, self.matched_occ
@@ -167,15 +198,14 @@ class EncoderState:
                 prev_occ, occ, cursor = occ, {}, -1
                 active, active_occ, matched, matched_occ = matched, matched_occ, [], []
                 size = len(prev_occ)
-                reps = len(active) == size and _steady_repeats(data, q, size, active, upto)
+                reps = len(active) == size and _steady_repeats(data, q, size, active, count, upto)
                 if reps:
                     # Every run of the previous circle extends once per repeat,
                     # in order; leave the state the byte loop would leave.
                     span = reps * size
-                    for node in active:
-                        off = node.occurrences[-1]
-                        node.count += reps
-                        node.occurrences.extend(range(off + size, off + span + 1, size))
+                    for r in active:
+                        count[r] += reps
+                        last[r] += span
                     flags[q:q + span] = b"\x01" * span
                     circle += reps - 1
                     end = q + span
@@ -188,33 +218,42 @@ class EncoderState:
                     next(islice(it, span - 1, span - 1), None)
                     continue
             occ[c] = q
-            head = chains[c]
-            if head is not None and head.start + head.count == circle and head.count < MAX_COUNT:
-                idx = bisect_left(active_occ, head.occurrences[-1])
+            p = prev_occ.get(c)
+            if p is None:
+                continue
+            r = chains[c]
+            # A run of c ends at the previous circle exactly when it holds c's offset there.
+            if r >= 0 and last[r] == p and count[r] < MAX_COUNT:
+                idx = bisect_left(active_occ, p)
                 if idx <= cursor:
                     continue
-                head.count += 1
-                head.occurrences.append(q)
+                count[r] += 1
+                last[r] = q
+            elif flags[p]:
+                continue
             else:
-                p = prev_occ.get(c)
-                if p is None or flags[p]:
-                    continue
                 idx = bisect_right(active_occ, p)
                 if idx <= cursor:
                     continue
-                head = chains[c] = RunNode(c, circle - 1, 2, [p, q])
+                r = chains[c] = len(run_ch)
+                run_ch.append(c)
+                start.append(circle - 1)
+                count.append(2)
+                first.append(p)
+                last.append(q)
                 if idx == len(active):
-                    self.tail.append(head)
-                elif active[idx].before is None:
-                    active[idx].before = [head]
+                    prev.append(last_run)
+                    last_run = r
                 else:
-                    active[idx].before.append(head)
-                active.insert(idx, head)
+                    succ = active[idx]
+                    prev.append(prev[succ])
+                    prev[succ] = r
+                active.insert(idx, r)
                 active_occ.insert(idx, p)
                 flags[p] = 1
             flags[q] = 1
             cursor = idx
-            matched.append(head)
+            matched.append(r)
             matched_occ.append(q)
         self._pos = max(self._pos, upto)
         # Open a circle that starts at upto, as the loop would on its first byte.
@@ -222,45 +261,54 @@ class EncoderState:
             circle += 1
             prev_occ, occ, cursor = occ, {}, -1
             active, active_occ, matched, matched_occ = matched, matched_occ, [], []
+        self.last_run = last_run
         self.circle, self.occ, self.prev_occ, self.cursor = circle, occ, prev_occ, cursor
         self.active, self.active_occ = active, active_occ
         self.matched, self.matched_occ = matched, matched_occ
 
-    def run_list(self) -> list[RunNode]:
-        """All runs in theta (serialization) order.
-
-        A post-order walk with an explicit stack: insertions before a run
-        nest as deep as the input makes them, too deep for recursion.
-        """
-        out: list[RunNode] = []
-        stack: list[tuple[RunNode | None, Iterator[RunNode]]] = [(None, iter(self.tail))]
-        while stack:
-            owner, pending = stack[-1]
-            for node in pending:
-                if node.before is not None:
-                    stack.append((node, iter(node.before)))
-                    break
-                out.append(node)
-            else:
-                stack.pop()
-                if owner is not None:
-                    out.append(owner)
+    def theta_order(self) -> list[int]:
+        """The ids of all runs in theta (serialization) order."""
+        prev = self.prev
+        out: list[int] = []
+        r = self.last_run
+        while r >= 0:
+            out.append(r)
+            r = prev[r]
+        out.reverse()
         return out
 
+    def occurrences(self, r: int) -> list[int]:
+        """The input offsets of run ``r``, one per circle covered, innermost first."""
+        data, c, end = self.data, self.ch[r], self.last[r] + 1
+        out: list[int] = []
+        off = self.first[r]
+        while off >= 0:
+            out.append(off)
+            off = data.find(c, off + 1, end)
+        return out
 
-def _steady_repeats(data: bytes, q: int, size: int, active: list[RunNode], upto: int) -> int:
+    def run_list(self) -> list[RunNode]:
+        """All runs in theta order, as :class:`RunNode` views built on each call."""
+        ch, start, count = self.ch, self.start, self.count
+        return [RunNode(ch[r], start[r], count[r], self.occurrences(r)) for r in self.theta_order()]
+
+
+def _steady_repeats(
+    data: bytes, q: int, size: int, active: list[int], count: list[int], upto: int
+) -> int:
     """Whole repeats of the ``size``-byte circle before ``q`` to copy from ``q`` on.
 
-    The count is capped by the slack of the fullest run in ``active`` and by
-    ``upto``; 0 means the byte loop goes on.  A stretch of fewer than
-    ``2 + _STEADY_BYTES // size`` repeats is left to the byte loop, so that
-    short circles that recur only a few times do not pay for the count.
+    The count is capped by the slack of the fullest run in ``active`` (ids
+    into the ``count`` column) and by ``upto``; 0 means the byte loop goes
+    on.  A stretch of fewer than ``2 + _STEADY_BYTES // size`` repeats is
+    left to the byte loop, so that short circles that recur only a few
+    times do not pay for the count.
     """
     unit = data[q - size:q]
     least = 2 + _STEADY_BYTES // size
     if not data.startswith(unit * least, q):
         return 0
-    limit = min(MAX_COUNT - max(node.count for node in active), (upto - q) // size)
+    limit = min(MAX_COUNT - max(map(count.__getitem__, active)), (upto - q) // size)
     if limit <= least:
         return max(limit, 0)
     if data.startswith(unit * limit, q):
@@ -282,13 +330,20 @@ def paradox_check(state: EncoderState, c: int) -> bool:
     any placement would swap order with a run matched earlier in the
     current circle.
     """
-    head = state.chains[c]
-    if head is not None and head.last == state.circle - 1 and head.count < MAX_COUNT:
-        return bisect_left(state.active_occ, head.occurrences[-1]) <= state.cursor
     p = state.prev_occ.get(c)
-    if p is None or state.flags[p]:
+    if p is None:
+        return False
+    r = state.chains[c]
+    if r >= 0 and state.last[r] == p and state.count[r] < MAX_COUNT:
+        return bisect_left(state.active_occ, p) <= state.cursor
+    if state.flags[p]:
         return False
     return bisect_right(state.active_occ, p) <= state.cursor
+
+
+def _columns(nodes: Sequence[RunNode]) -> tuple[list[int], list[int], list[int]]:
+    """The ``ch``, ``start`` and ``count`` columns of ``nodes``, indexed by position."""
+    return [n.ch for n in nodes], [n.start for n in nodes], [n.count for n in nodes]
 
 
 def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
@@ -300,14 +355,17 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
     list with one raises ``ValueError``; :func:`encode` uncompresses such
     runs instead.
     """
-    entries, behind = _delta_encode(run_list)
+    nodes = list(run_list)
+    entries, behind = _delta_encode(range(len(nodes)), *_columns(nodes))
     if behind:
-        raise ValueError(f"run start {behind[0].start} is too far behind the reference base")
+        raise ValueError(f"run start {nodes[behind[0]].start} is too far behind the reference base")
     return entries
 
 
-def _delta_encode(run_list: Iterable[RunNode]) -> tuple[list[CompressedEntry], list[RunNode]]:
-    """Entries for the serializable runs, plus the runs left ``behind``.
+def _delta_encode(
+    order: Iterable[int], ch: list[int], start: list[int], count: list[int]
+) -> tuple[list[CompressedEntry], list[int]]:
+    """Entries for the serializable runs of ``order``, plus the ids left ``behind``.
 
     Rebases only move the base forward, so a start more than 128 circles
     behind it cannot be serialized.  Such a run never updates the reference
@@ -318,20 +376,21 @@ def _delta_encode(run_list: Iterable[RunNode]) -> tuple[list[CompressedEntry], l
     """
     ctx = DeltaContext()
     out: list[CompressedEntry] = []
-    behind: list[RunNode] = []
-    for node in run_list:
-        delta = node.start - ctx.base
+    behind: list[int] = []
+    for r in order:
+        first_circle = start[r]
+        delta = first_circle - ctx.base
         if delta > DELTA_MAX:
-            while ctx.base < node.start - 1:
-                hop = min(REBASE_MAX, node.start - 1 - ctx.base)
+            while ctx.base < first_circle - 1:
+                hop = min(REBASE_MAX, first_circle - 1 - ctx.base)
                 out.append(CompressedEntry(hop, 0, 0))
                 ctx.advance(hop)
             delta = 1
         elif delta < DELTA_MIN:
-            behind.append(node)
+            behind.append(r)
             continue
-        out.append(CompressedEntry(delta, node.ch, node.count))
-        ctx.observe(node.start, node.count)
+        out.append(CompressedEntry(delta, ch[r], count[r]))
+        ctx.observe(first_circle, count[r])
     return out, behind
 
 
@@ -349,39 +408,47 @@ def remove_redundant_entries(
     every surviving count-2 entry is justified against the final list.
     Returns the surviving runs plus rewritten flags and literals.
     """
-    surviving, removed = _prune(run_list)
-    return (surviving, *_uncompress(removed, flags, literals))
+    _, start, count = _columns(run_list)
+    kept, removed = _prune(range(len(run_list)), start, count)
+    return (
+        [run_list[i] for i in kept],
+        *_uncompress((run_list[i] for i in removed), flags, literals),
+    )
 
 
-def _prune(run_list: Sequence[RunNode]) -> tuple[list[RunNode], list[RunNode]]:
-    """The fixpoint of :func:`remove_redundant_entries`: (kept, removed) runs."""
-    surviving = list(run_list)
-    removed: list[RunNode] = []
+def _prune(
+    order: Iterable[int], start: list[int], count: list[int]
+) -> tuple[list[int], list[int]]:
+    """The fixpoint of :func:`remove_redundant_entries` on run ids: (kept, removed)."""
+    surviving = list(order)
+    removed: list[int] = []
     changed = True
     while changed:
         changed = False
         ctx = DeltaContext()
-        kept: list[RunNode] = []
-        for i, node in enumerate(surviving):
-            if node.count == 2 and _removal_is_safe(surviving, i, ctx):
-                removed.append(node)
+        kept: list[int] = []
+        for i, r in enumerate(surviving):
+            if count[r] == 2 and _removal_is_safe(surviving, i, ctx, start, count):
+                removed.append(r)
                 changed = True
                 continue
-            ctx.observe(node.start, node.count)
-            kept.append(node)
+            ctx.observe(start[r], count[r])
+            kept.append(r)
         surviving = kept
     return surviving, removed
 
 
-def _removal_is_safe(run_list: Sequence[RunNode], i: int, ctx: DeltaContext) -> bool:
-    node = run_list[i]
-    if node.start + node.count <= ctx.reach:
+def _removal_is_safe(
+    order: list[int], i: int, ctx: DeltaContext, start: list[int], count: list[int]
+) -> bool:
+    r = order[i]
+    if start[r] + count[r] <= ctx.reach:
         return True  # not a reference node: later deltas never point at it
-    for j in range(i + 1, len(run_list)):
-        later = run_list[j]
-        if not DELTA_MIN <= later.start - ctx.base <= DELTA_MAX:
+    for j in range(i + 1, len(order)):
+        later = order[j]
+        if not DELTA_MIN <= start[later] - ctx.base <= DELTA_MAX:
             return False
-        if later.start + later.count > ctx.reach:
+        if start[later] + count[later] > ctx.reach:
             return True  # a new reference takes over; nothing beyond it is affected
     return True
 
@@ -412,35 +479,37 @@ def _uncompress(
 
 def _encode_pipeline(
     data: bytes,
-) -> tuple[EncodedParts, list[RunNode], list[RunNode], list[RunNode]]:
-    """Parts, plus the runs found, those left by pruning, and those left behind."""
+) -> tuple[EncodedParts, EncoderState, list[int], list[int], list[int]]:
+    """Parts, the scan state, and the ids of the runs found, left by pruning, and left behind."""
     state = EncoderState(data)
     state.run()
-    found = state.run_list()
-    pruned, removed = _prune(found)
-    entries, behind = _delta_encode(pruned)
-    flags = state.flags
-    for node in chain(removed, behind):
-        for off in node.occurrences:
+    found = state.theta_order()
+    pruned, removed = _prune(found, state.start, state.count)
+    entries, behind = _delta_encode(pruned, state.ch, state.start, state.count)
+    flags, first, last = state.flags, state.first, state.last
+    for r in removed:  # two circles each
+        flags[first[r]] = flags[last[r]] = 0
+    for r in behind:
+        for off in state.occurrences(r):
             flags[off] = 0
-    literals = bytes(compress(data, map(not_, flags)))
-    return EncodedParts(flags, literals, entries), found, pruned, behind
+    literals = bytes(compress(data, flags.translate(_INVERT)))
+    return EncodedParts(flags, literals, entries), state, found, pruned, behind
 
 
 def trace_encode(data: bytes) -> EncodeTrace:
     """Encode ``data`` and report every kept and uncompressed run."""
-    parts, found, pruned, behind = _encode_pipeline(data)
+    parts, state, found, pruned, behind = _encode_pipeline(data)
     pruned_set, behind_set = set(pruned), set(behind)
-    removed = [node for node in found if node not in pruned_set] + behind
+    removed = [r for r in found if r not in pruned_set] + behind
+
+    def summary(r: int) -> RunSummary:
+        return RunSummary(state.ch[r], state.start[r], state.count[r], tuple(state.occurrences(r)))
+
     return EncodeTrace(
         parts,
-        tuple(_summary(node) for node in pruned if node not in behind_set),
-        tuple(_summary(node) for node in removed),
+        tuple(summary(r) for r in pruned if r not in behind_set),
+        tuple(summary(r) for r in removed),
     )
-
-
-def _summary(node: RunNode) -> RunSummary:
-    return RunSummary(node.ch, node.start, node.count, tuple(node.occurrences))
 
 
 def encode(data: bytes) -> EncodedParts:

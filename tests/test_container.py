@@ -1,6 +1,10 @@
+import struct
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ccz import decompress
 from ccz.container import (
     HEADER_SIZE,
     ArchiveFormatError,
@@ -98,6 +102,20 @@ def test_parse_truncations_name_sections():
         parse(ABABBA_ARCHIVE[:30])
     with pytest.raises(ArchiveFormatError, match="entries"):
         parse(ABABBA_ARCHIVE + b"\x00")
+
+
+def test_claimed_size_is_checked_before_allocation():
+    # v1 output is at most 8 * (archive size - 25) bytes: a header claiming
+    # 2^60 bytes over a short body must fail before allocating anything large.
+    archive = struct.pack("<4sBQQI", b"CCZ1", 1, 2**60, 0, 0) + bytes(16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArchiveFormatError, match="flags"):
+            decompress(archive)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_illegal_count():

@@ -1,9 +1,14 @@
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ccz
 from ccz import compress
 from ccz.container import CompressedEntry, serialize
 from ccz.decoder import decode
@@ -72,6 +77,45 @@ def test_compress_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_scan_leaves_nothing_for_the_collector():
+    # The run table is columns of ints: finding 16k runs allocates no
+    # container the collector tracks per run, so no collection is triggered.
+    data = bytes(random.Random(6).choices(b"ACGT", k=65536))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        EncoderState(data).run()
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 1
+
+
+def test_archive_is_the_same_under_any_hash_seed():
+    # Nothing in the encoder may depend on set or dict order of hashed keys.
+    script = (
+        "import hashlib, random, ccz\n"
+        "rng = random.Random(9)\n"
+        "data = (b'the quick brown fox jumps over the lazy dog. ' * 40\n"
+        "        + bytes(rng.choices(b'ACGT', k=3000)) + rng.randbytes(2000)\n"
+        "        + b'ABCDEFG' * 300 + bytes(500))\n"
+        "print(hashlib.sha256(ccz.compress(data)).hexdigest())\n"
+    )
+    src = str(Path(ccz.__file__).resolve().parents[1])
+    digests = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def run(ch, start, count):
@@ -217,8 +261,11 @@ def test_feed_prefix_splits_change_nothing(name):
 
 
 def _snapshot(state):
-    def runs(nodes):
-        return [(r.ch, r.start, r.count) for r in nodes]
+    def runs(ids):
+        return [
+            (r, state.ch[r], state.start[r], state.count[r], state.first[r], state.last[r])
+            for r in ids
+        ]
 
     return (
         state.circle, state.cursor, state.occ, state.prev_occ, state.active_occ,
