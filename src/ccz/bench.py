@@ -9,7 +9,6 @@ total original over total compressed, not a mean of per-file factors.
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import csv
 import io
@@ -18,8 +17,6 @@ from .container import serialize
 from .decoder import decode
 from .encoder import encode
 from .rle import rle_decode, rle_encode
-
-CODEC_NAMES = ("cc", "rle")
 
 
 class LosslessnessError(RuntimeError):
@@ -30,10 +27,10 @@ class LosslessnessError(RuntimeError):
 class BenchRow:
     name: str
     original: int
-    cc_size: int | None
-    cc_factor: float | None
-    rle_size: int | None
-    rle_factor: float | None
+    cc_size: int
+    cc_factor: float
+    rle_size: int
+    rle_factor: float
     verified: bool
 
 
@@ -47,10 +44,8 @@ class BenchReport:
         if not self.rows:
             return None
         original = sum(r.original for r in self.rows)
-        cc = [r.cc_size for r in self.rows if r.cc_size is not None]
-        rle = [r.rle_size for r in self.rows if r.rle_size is not None]
-        cc_size = sum(cc) if cc else None
-        rle_size = sum(rle) if rle else None
+        cc_size = sum(r.cc_size for r in self.rows)
+        rle_size = sum(r.rle_size for r in self.rows)
         return BenchRow(
             "overall",
             original,
@@ -68,22 +63,17 @@ def compression_factor(original_size: int, compressed_size: int) -> float:
     return original_size / compressed_size
 
 
-def _safe_factor(original: int, compressed: int | None) -> float | None:
-    if compressed is None:
-        return None
+def _safe_factor(original: int, compressed: int) -> float:
     return compression_factor(original, compressed) if compressed > 0 else 0.0
 
 
-def run_corpus(directory: str | Path, codecs: Sequence[str] = CODEC_NAMES) -> BenchReport:
+def run_corpus(directory: str | Path) -> BenchReport:
     """Benchmark every regular file in ``directory`` (sorted by name).
 
     Unreadable files are skipped with a recorded warning; a roundtrip
     failure raises :class:`LosslessnessError` and aborts the run.
     """
     directory = Path(directory)
-    unknown = set(codecs) - set(CODEC_NAMES)
-    if unknown:
-        raise ValueError(f"unknown codecs: {sorted(unknown)}")
     report = BenchReport()
     for path in sorted(directory.iterdir(), key=lambda p: p.name):
         if path.is_dir():
@@ -94,26 +84,21 @@ def run_corpus(directory: str | Path, codecs: Sequence[str] = CODEC_NAMES) -> Be
             report.warnings.append((path.name, str(exc)))
             continue
 
-        cc_size = rle_size = None
-        if "cc" in codecs:
-            archive = serialize(encode(data))
-            if decode(archive) != data:
-                raise LosslessnessError(f"cc roundtrip mismatch on {path.name}")
-            cc_size = len(archive)
-        if "rle" in codecs:
-            packed = rle_encode(data)
-            if rle_decode(packed) != data:
-                raise LosslessnessError(f"rle roundtrip mismatch on {path.name}")
-            rle_size = len(packed)
+        archive = serialize(encode(data))
+        if decode(archive) != data:
+            raise LosslessnessError(f"cc roundtrip mismatch on {path.name}")
+        packed = rle_encode(data)
+        if rle_decode(packed) != data:
+            raise LosslessnessError(f"rle roundtrip mismatch on {path.name}")
 
         report.rows.append(
             BenchRow(
                 path.name,
                 len(data),
-                cc_size,
-                _safe_factor(len(data), cc_size),
-                rle_size,
-                _safe_factor(len(data), rle_size),
+                len(archive),
+                _safe_factor(len(data), len(archive)),
+                len(packed),
+                _safe_factor(len(data), len(packed)),
                 True,
             )
         )
@@ -127,10 +112,10 @@ def _cells(row: BenchRow) -> list[str]:
     return [
         row.name,
         str(row.original),
-        "" if row.cc_size is None else str(row.cc_size),
-        "" if row.cc_factor is None else f"{row.cc_factor:.3f}",
-        "" if row.rle_size is None else str(row.rle_size),
-        "" if row.rle_factor is None else f"{row.rle_factor:.3f}",
+        str(row.cc_size),
+        f"{row.cc_factor:.3f}",
+        str(row.rle_size),
+        f"{row.rle_factor:.3f}",
         "true" if row.verified else "false",
     ]
 

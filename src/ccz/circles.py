@@ -7,9 +7,12 @@ circle and the repeated byte opens a new one.  Circles are numbered from 1
 (the innermost); a byte's ordinal position within its circle is its theta
 value, which is never stored because only the relative order matters.
 
-The segmentation is the coordinate system shared by the encoder and the
-decoder: a run is one byte value recurring in consecutive circles, and the
-decoder re-derives the same circle boundaries from the bytes it emits.
+The segmentation is the coordinate system of the codec: a run is one byte
+value recurring in consecutive circles.  Neither the encoder nor the
+decoder calls :func:`split_circles`; each applies the same break rule as
+it goes, the encoder to the input it scans and the decoder to the bytes it
+emits.  :func:`split_circles` serves ``ccz inspect``, the benchmark and
+the tests.
 """
 
 from bisect import bisect_right

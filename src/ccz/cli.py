@@ -2,6 +2,9 @@
 
 Machine-readable output (sizes, reports, inspection dumps) goes to stdout;
 diagnostics go to stderr.  Exit status is 0 on success, nonzero otherwise.
+:func:`main` reports every expected failure (an unreadable or unwritable
+file, a malformed or corrupt archive, a failed benchmark roundtrip) the
+same way: one ``error:`` line on stderr and exit status 1.
 """
 
 import argparse
@@ -21,55 +24,26 @@ def _printable(ch: int) -> str:
 
 
 def cmd_compress(input_path: str, output_path: str) -> int:
-    try:
-        data = Path(input_path).read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data = Path(input_path).read_bytes()
     archive = compress(data)
-    try:
-        Path(output_path).write_bytes(archive)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    Path(output_path).write_bytes(archive)
     factor = len(data) / len(archive)
     print(f"original={len(data)} compressed={len(archive)} factor={factor:.3f}")
     return 0
 
 
 def cmd_decompress(input_path: str, output_path: str, verbose: bool = False) -> int:
-    try:
-        archive = Path(input_path).read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        data = decode(archive)
-    except (ArchiveFormatError, CorruptArchiveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        Path(output_path).write_bytes(data)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data = decode(Path(input_path).read_bytes())
+    Path(output_path).write_bytes(data)
     if verbose:
         print(f"wrote {len(data)} bytes", file=sys.stderr)
     return 0
 
 
 def cmd_inspect(input_path: str) -> int:
-    try:
-        data = Path(input_path).read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data = Path(input_path).read_bytes()
     if data[:4] == MAGIC:
-        try:
-            return _inspect_archive(data)
-        except (ArchiveFormatError, CorruptArchiveError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        return _inspect_archive(data)
     return _inspect_plain(data)
 
 
@@ -112,11 +86,7 @@ def _inspect_plain(data: bytes) -> int:
 
 
 def cmd_bench(corpus_dir: str, format: str = "markdown", verbose: bool = False) -> int:
-    try:
-        report = run_corpus(corpus_dir)
-    except (OSError, LosslessnessError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_corpus(corpus_dir)
     for name, message in report.warnings:
         print(f"warning: skipped {name}: {message}", file=sys.stderr)
     if verbose:
@@ -151,13 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compress":
-        return cmd_compress(args.input, args.output)
-    if args.command == "decompress":
-        return cmd_decompress(args.input, args.output, args.verbose)
-    if args.command == "inspect":
-        return cmd_inspect(args.input)
-    return cmd_bench(args.corpus_dir, args.format, args.verbose)
+    try:
+        if args.command == "compress":
+            return cmd_compress(args.input, args.output)
+        if args.command == "decompress":
+            return cmd_decompress(args.input, args.output, args.verbose)
+        if args.command == "inspect":
+            return cmd_inspect(args.input)
+        return cmd_bench(args.corpus_dir, args.format, args.verbose)
+    except (OSError, ArchiveFormatError, CorruptArchiveError, LosslessnessError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -19,15 +19,19 @@ live when their start circle is reached, stay in a list ordered by
 serialized index, and a cursor walks that list once per circle.  This
 yields the same matches as the literal scan (the ordering invariants make
 the next unconsumed live entry always the match) in time linear in output
-size plus total run coverage.  Three facts keep the work per circle small:
+size plus total run coverage.  An entry is its serialized index, an id
+into the ``ch``, ``start`` and ``end`` (start + count) columns, so the
+live list, the entries not yet live and the circles where the list
+changes are all lists of ints.  Three facts keep the work per circle small:
 
 * A 256-slot stamp list, ``stamp[b] == circle``, records the bytes the
   current circle holds, so opening a circle allocates nothing.
 * Every live entry is used exactly once in each circle it spans, so at
   every circle break the cursor must have passed the whole live list; the
   entry it stopped at is reported unfilled.  Live entries therefore stay
-  in step: each leaves the list at its start + count, and the list is
-  rebuilt only at circles where an entry starts or ends.
+  in step, and no countdown is kept: at the start of circle c an entry
+  has exactly end - c circles left.  Each leaves the list at its end, and
+  the list is rebuilt only at circles where an entry starts or ends.
 * Between two such circles the list is steady.  When a circle opens on a
   flagged byte with a steady list of k entries, and flags are all 1 ahead,
   each block of k flags is one circle of exactly the entries' bytes, in
@@ -37,7 +41,7 @@ size plus total run coverage.  Three facts keep the work per circle small:
 """
 
 from itertools import islice
-from operator import attrgetter
+from typing import NamedTuple
 
 from .container import ArchiveFormatError, CompressedEntry, DeltaContext, parse
 
@@ -46,19 +50,12 @@ class CorruptArchiveError(ValueError):
     """Structurally valid archive whose streams are mutually inconsistent."""
 
 
-class LiveEntry:
-    """Decoder-side state of one real entry."""
+class LiveEntry(NamedTuple):
+    """One real entry with its start circle resolved."""
 
-    __slots__ = ("ch", "start", "count", "remaining")
-
-    def __init__(self, ch: int, start: int, count: int):
-        self.ch = ch
-        self.start = start
-        self.count = count
-        self.remaining = count   # circles left to fill
-
-    def __repr__(self):
-        return f"LiveEntry(ch={self.ch:#04x}, start={self.start}, count={self.count})"
+    ch: int
+    start: int
+    count: int
 
 
 def undo_delta(entries: list[CompressedEntry]) -> list[LiveEntry]:
@@ -93,33 +90,35 @@ def decode(archive: bytes) -> bytes:
     if flags.count(0) != len(literals):
         raise CorruptArchiveError("literal stream does not match the 0 flags")
 
-    order = {entry: idx for idx, entry in enumerate(live)}
-    pending = sorted(live, key=attrgetter("start"), reverse=True)  # not live yet
+    ch = [entry.ch for entry in live]
+    start = [entry.start for entry in live]
+    end = [entry.start + entry.count for entry in live]
+    del live  # the columns replace the records
+    pending = sorted(range(len(start)), key=start.__getitem__, reverse=True)  # not live yet
     # Every live entry is used once per circle, so the live list changes only
-    # where an entry starts or where one ends, at start + count.
+    # where an entry starts or where one ends.
     never = n + 2  # past circle 1 and the at most n circles of n bytes
-    changes = [entry.start + entry.count for entry in live]
-    changes += [entry.start for entry in live]
+    changes = end + start
     changes.append(never)
     changes.sort(reverse=True)
 
-    def live_at(circle: int, before: list[LiveEntry]) -> list[LiveEntry]:
-        """The live entries of ``circle``, in serialized order."""
-        entries = [entry for entry in before if entry.remaining]
-        if pending and pending[-1].start == circle:
-            while pending and pending[-1].start == circle:
-                entries.append(pending.pop())
-            entries.sort(key=order.__getitem__)
+    def live_at(circle: int, before: list[int]) -> list[int]:
+        """The ids of the live entries of ``circle``, in serialized order."""
+        ids = [i for i in before if end[i] > circle]
+        if pending and start[pending[-1]] == circle:
+            while pending and start[pending[-1]] == circle:
+                ids.append(pending.pop())
+            ids.sort()
         while changes[-1] <= circle:
             changes.pop()
-        return entries
+        return ids
 
     out = bytearray()
     stamp = [0] * 256  # stamp[b] == circle: b was emitted in this circle
     lit_pos = 0
     circle = 1
-    entries = live_at(circle, [])
-    k = len(entries)
+    ids = live_at(circle, [])
+    k = len(ids)
     change_at = changes[-1]  # next circle whose live list differs
     if n and flags[0] and not k:  # the loop would leave circle 1 empty
         raise CorruptArchiveError("flagged position 0 has no admissible entry")
@@ -129,14 +128,12 @@ def decode(archive: bytes) -> bytes:
     for flag in it:
         if flag:
             if ptr < k:
-                entry = entries[ptr]
+                value = ch[ids[ptr]]
                 ptr += 1
-                value = entry.ch
                 if stamp[value] == circle:
                     raise CorruptArchiveError(
                         f"entry byte {value:#04x} duplicates circle {circle}"
                     )
-                entry.remaining -= 1
                 out.append(value)
                 stamp[value] = circle
                 continue
@@ -150,16 +147,16 @@ def decode(archive: bytes) -> bytes:
 
         # Circle break: a flag with every live entry used, or a repeated literal.
         if ptr < k:
-            entry = entries[ptr]
+            i = ids[ptr]
             raise CorruptArchiveError(
-                f"entry for byte {entry.ch:#04x} left {entry.remaining} circles unfilled"
+                f"entry for byte {ch[i]:#04x} left {end[i] - circle} circles unfilled"
             )
         circle += 1
         ptr = 0
         steady = circle != change_at
         if not steady:
-            entries = live_at(circle, entries)
-            k = len(entries)
+            ids = live_at(circle, ids)
+            k = len(ids)
             change_at = changes[-1]
         if flag:
             if not k:
@@ -168,29 +165,25 @@ def decode(archive: bytes) -> bytes:
                 # Copy whole circles of the steady list (see the module docstring).
                 pos = len(out)
                 stop = min(pos + k * (change_at - circle), n)
-                end = flags.find(0, pos, stop)
-                reps = ((stop if end < 0 else end) - pos) // k
+                zero = flags.find(0, pos, stop)
+                reps = ((stop if zero < 0 else zero) - pos) // k
                 if reps > 1:
-                    chars = bytes([entry.ch for entry in entries])
+                    chars = bytes(map(ch.__getitem__, ids))
                     out += chars * reps
-                    for entry in entries:
-                        entry.remaining -= reps
                     circle += reps - 1
                     for value in chars:
                         stamp[value] = circle
                     ptr = k
                     next(islice(it, reps * k - 1, reps * k - 1), None)  # skip the copied flags
                     continue
-            entry = entries[0]
+            value = ch[ids[0]]
             ptr = 1
-            value = entry.ch
-            entry.remaining -= 1
         out.append(value)
         stamp[value] = circle
 
-    for entry in live:
-        if entry.remaining:
-            raise CorruptArchiveError(
-                f"entry for byte {entry.ch:#04x} left {entry.remaining} circles unfilled"
-            )
+    # Every 1 flag used an entry, and parse checked that the counts add up
+    # to the 1 flags, so every entry is used up here: each live one was used
+    # in this last circle and ends at the next, and none is pending.
+    if pending or ptr < k or any(end[i] > circle + 1 for i in ids):
+        raise CorruptArchiveError(f"entries left circles unfilled after circle {circle}")
     return bytes(out)

@@ -40,8 +40,9 @@ table cannot form a reference cycle.
 A run's other offsets need no storage.  A byte occurs at most once per
 circle, and circles are contiguous, so a run's occurrences are exactly the
 places of its byte in ``data[first:last + 1]``.  They are derived only
-where they are read: for the :class:`RunNode` views of the staged API, for
-traces, and to uncompress runs left behind the reference base.
+where they are read, by :meth:`EncoderState.view`: it builds the
+:class:`RunNode` records of the staged API and of traces, and gives the
+offsets of runs left behind the reference base, to uncompress them.
 
 Repeated circles are copied in one step.  When circle r opens and every
 byte of circle r-1 was matched, each of those bytes is covered by a run
@@ -73,7 +74,7 @@ list of :class:`RunNode` out the same way and call the same code.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .container import (
     DELTA_MAX,
@@ -93,40 +94,24 @@ _STEADY_BYTES = 16
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-class RunNode:
-    """One run as a standalone record, for the staged API.
+class RunNode(NamedTuple):
+    """One run as a standalone record, for the staged API and traces.
 
     ``occurrences`` holds the absolute input offset of the byte in every
     covered circle, innermost first, so ``len(occurrences) == count``.
-    :meth:`EncoderState.run_list` builds these views on request; the
-    encoder itself keeps runs as columns of ints.
+    :meth:`EncoderState.view` builds these records on request; the encoder
+    itself keeps runs as columns of ints.
     """
 
-    __slots__ = ("ch", "start", "count", "occurrences")
-
-    def __init__(self, ch: int, start: int, count: int = 2, occurrences: list[int] | None = None):
-        self.ch = ch
-        self.start = start
-        self.count = count
-        self.occurrences: list[int] = occurrences if occurrences is not None else []
+    ch: int
+    start: int
+    count: int = 2
+    occurrences: tuple[int, ...] = ()
 
     @property
     def last(self) -> int:
         """Index of the outermost circle this run covers."""
         return self.start + self.count - 1
-
-    def __repr__(self):
-        return f"RunNode(ch={self.ch:#04x}, start={self.start}, count={self.count})"
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Immutable view of a run, for traces and inspection output."""
-
-    ch: int
-    start: int
-    count: int
-    occurrences: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -134,8 +119,8 @@ class EncodeTrace:
     """Encoder output plus which runs survived and which were uncompressed."""
 
     parts: EncodedParts
-    runs: tuple[RunSummary, ...]
-    removed: tuple[RunSummary, ...]
+    runs: tuple[RunNode, ...]
+    removed: tuple[RunNode, ...]
 
 
 class EncoderState:
@@ -277,20 +262,19 @@ class EncoderState:
         out.reverse()
         return out
 
-    def occurrences(self, r: int) -> list[int]:
-        """The input offsets of run ``r``, one per circle covered, innermost first."""
+    def view(self, r: int) -> RunNode:
+        """Run ``r`` as a record, its offsets found in ``data[first:last + 1]``."""
         data, c, end = self.data, self.ch[r], self.last[r] + 1
-        out: list[int] = []
+        offsets: list[int] = []
         off = self.first[r]
         while off >= 0:
-            out.append(off)
+            offsets.append(off)
             off = data.find(c, off + 1, end)
-        return out
+        return RunNode(c, self.start[r], self.count[r], tuple(offsets))
 
     def run_list(self) -> list[RunNode]:
-        """All runs in theta order, as :class:`RunNode` views built on each call."""
-        ch, start, count = self.ch, self.start, self.count
-        return [RunNode(ch[r], start[r], count[r], self.occurrences(r)) for r in self.theta_order()]
+        """All runs in theta order, as records built on each call."""
+        return [self.view(r) for r in self.theta_order()]
 
 
 def _steady_repeats(
@@ -490,7 +474,7 @@ def _encode_pipeline(
     for r in removed:  # two circles each
         flags[first[r]] = flags[last[r]] = 0
     for r in behind:
-        for off in state.occurrences(r):
+        for off in state.view(r).occurrences:
             flags[off] = 0
     literals = bytes(compress(data, flags.translate(_INVERT)))
     return EncodedParts(flags, literals, entries), state, found, pruned, behind
@@ -501,14 +485,10 @@ def trace_encode(data: bytes) -> EncodeTrace:
     parts, state, found, pruned, behind = _encode_pipeline(data)
     pruned_set, behind_set = set(pruned), set(behind)
     removed = [r for r in found if r not in pruned_set] + behind
-
-    def summary(r: int) -> RunSummary:
-        return RunSummary(state.ch[r], state.start[r], state.count[r], tuple(state.occurrences(r)))
-
     return EncodeTrace(
         parts,
-        tuple(summary(r) for r in pruned if r not in behind_set),
-        tuple(summary(r) for r in removed),
+        tuple(state.view(r) for r in pruned if r not in behind_set),
+        tuple(state.view(r) for r in removed),
     )
 
 

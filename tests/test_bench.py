@@ -58,16 +58,6 @@ def test_run_corpus_sorts_and_skips_unreadable(tmp_path):
     assert len(report.warnings) == 1 and report.warnings[0][0] == "broken"
 
 
-def test_run_corpus_codec_selection(tmp_path):
-    (tmp_path / "x.bin").write_bytes(b"XYZXYZ")
-    report = run_corpus(tmp_path, codecs=("rle",))
-    row = report.rows[0]
-    assert row.cc_size is None and row.cc_factor is None
-    assert row.rle_size == 12
-    with pytest.raises(ValueError):
-        run_corpus(tmp_path, codecs=("zip",))
-
-
 def test_run_corpus_aborts_on_roundtrip_failure(tmp_path, monkeypatch):
     (tmp_path / "x.bin").write_bytes(b"HELLO WORLD")
     import ccz.bench

@@ -35,6 +35,31 @@ def test_compress_missing_input(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def assert_reports_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_compress_to_directory_fails(tmp_path, capsys):
+    source = tmp_path / "input.bin"
+    source.write_bytes(b"ABABBA")
+    assert main(["compress", str(source), str(tmp_path)]) == 1
+    assert_reports_error(capsys)
+
+
+def test_decompress_to_directory_fails(tmp_path, capsys):
+    archive = tmp_path / "input.ccz"
+    archive.write_bytes(compress(b"ABABBA"))
+    assert main(["decompress", str(archive), str(tmp_path)]) == 1
+    assert_reports_error(capsys)
+
+
+def test_inspect_missing_file(tmp_path, capsys):
+    assert main(["inspect", str(tmp_path / "nope")]) == 1
+    assert_reports_error(capsys)
+
+
 def test_decompress_corrupted_magic(tmp_path, capsys):
     source = tmp_path / "input.bin"
     archive = tmp_path / "input.ccz"
