@@ -13,6 +13,7 @@ from .container import (
     ArchiveFormatError,
     CompressedEntry,
     EncodedParts,
+    _write_archive,
     pack_flags,
     parse,
     serialize,
@@ -22,6 +23,7 @@ from .decoder import CorruptArchiveError, LiveEntry, decode, undo_delta
 from .encoder import (
     EncoderState,
     RunNode,
+    _encode_pipeline,
     delta_encode_entries,
     encode,
     paradox_check,
@@ -34,8 +36,13 @@ __version__ = "0.1.0"
 
 
 def compress(data: bytes) -> bytes:
-    """Compress ``data`` into a self-contained archive."""
-    return serialize(encode(data))
+    """Compress ``data`` into a self-contained archive.
+
+    Equal to ``serialize(encode(data))``, without an object per entry: the
+    entry columns go straight from the encoder into the archive.
+    """
+    flags, literals, columns = _encode_pipeline(data)[:3]
+    return _write_archive(flags, literals, *columns)
 
 
 def decompress(archive: bytes) -> bytes:

@@ -13,9 +13,8 @@ from pathlib import Path
 import csv
 import io
 
-from .container import serialize
+from . import compress
 from .decoder import decode
-from .encoder import encode
 from .rle import rle_decode, rle_encode
 
 
@@ -84,7 +83,7 @@ def run_corpus(directory: str | Path) -> BenchReport:
             report.warnings.append((path.name, str(exc)))
             continue
 
-        archive = serialize(encode(data))
+        archive = compress(data)
         if decode(archive) != data:
             raise LosslessnessError(f"cc roundtrip mismatch on {path.name}")
         packed = rle_encode(data)

@@ -42,8 +42,6 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sBQQI")
 HEADER_SIZE = _HEADER.size  # 25
-# One entry as read: the delta byte signed, as a real entry stores it.
-_ENTRY = struct.Struct("<bBB")
 
 MAX_COUNT = 127
 DELTA_MIN = -128
@@ -140,41 +138,81 @@ def unpack_flags(data: bytes, n: int) -> bytearray:
     return bytearray(format(value, "b").zfill(n).encode("ascii").translate(_FROM_ASCII01))
 
 
-def serialize(parts: EncodedParts) -> bytes:
-    """Write the archive: header, packed flags, literals, entry triples."""
-    out = bytearray(
-        _HEADER.pack(MAGIC, VERSION, len(parts.flags), len(parts.literals), len(parts.entries))
-    )
-    out += pack_flags(parts.flags)
-    out += parts.literals
-    for delta, ch, count in parts.entries:
-        if count == 0:
-            if not 1 <= delta <= REBASE_MAX:
-                raise ValueError(f"rebase advance {delta} outside 1..{REBASE_MAX}")
-            out.append(delta)
-        else:
-            if not 2 <= count <= MAX_COUNT:
-                raise ValueError(f"entry count {count} outside 2..{MAX_COUNT}")
-            if not DELTA_MIN <= delta <= DELTA_MAX:
-                raise ValueError(f"entry delta {delta} outside {DELTA_MIN}..{DELTA_MAX}")
-            out.append(delta & 0xFF)
-        out.append(ch)
-        out.append(count)
+# Tables for the entry checks: each maps a byte to 1 where it is at fault.
+_ILLEGAL_COUNT = bytes(count == 1 or count > MAX_COUNT for count in range(256))
+_IS_ZERO = bytes([1]) + bytes(255)
+_IS_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def _entry_fault(deltas: bytes, chs: bytes, counts: bytes) -> str | None:
+    """Describe the first faulty entry of the three entry columns, or None.
+
+    The columns hold one byte per entry, as stored.  A count is 0 (a
+    rebase) or 2..127, and a rebase has ``ch`` 0 and a nonzero advance.
+    Each check maps a column to one 0/1 byte per entry and reads it as a
+    big-endian int, so the highest set bit of the faults is the first
+    faulty entry.
+    """
+    faults = int.from_bytes(counts.translate(_ILLEGAL_COUNT), "big")
+    if 0 in counts:
+        rebases = int.from_bytes(counts.translate(_IS_ZERO), "big")
+        nonzero_ch = int.from_bytes(chs.translate(_IS_NONZERO), "big")
+        zero_advance = int.from_bytes(deltas.translate(_IS_ZERO), "big")
+        faults |= rebases & (nonzero_ch | zero_advance)
+    if not faults:
+        return None
+    i = len(counts) - 1 - (faults.bit_length() - 1) // 8
+    if counts[i]:
+        return f"entry {i} has illegal count {counts[i]}"
+    if chs[i]:
+        return f"rebase entry {i} with nonzero character"
+    return f"rebase entry {i} with zero advance"
+
+
+def _write_archive(
+    flags: bytearray, literals: bytes, deltas: bytes, chs: bytes, counts: bytes
+) -> bytes:
+    """Write the archive of flags, literals and the three entry columns.
+
+    The columns hold each entry's bytes as stored (``deltas`` in two's
+    complement), so each fills one lane of the entry section's 3-byte
+    stride.  Raises ``ValueError`` for an entry :func:`parse` would reject.
+    """
+    fault = _entry_fault(deltas, chs, counts)
+    if fault:
+        raise ValueError(fault)
+    out = bytearray(_HEADER.pack(MAGIC, VERSION, len(flags), len(literals), len(counts)))
+    out += pack_flags(flags)
+    out += literals
+    pos = len(out)
+    out += bytes(3 * len(counts))
+    out[pos::3] = deltas
+    out[pos + 1::3] = chs
+    out[pos + 2::3] = counts
     return bytes(out)
 
 
-def parse(data: bytes) -> EncodedParts:
-    """Validate an archive and recover its parts.
+def serialize(parts: EncodedParts) -> bytes:
+    """Write the archive: header, packed flags, literals, entry triples."""
+    deltas = bytearray()
+    for delta, _, count in parts.entries:
+        if count == 0:
+            if not 1 <= delta <= REBASE_MAX:
+                raise ValueError(f"rebase advance {delta} outside 1..{REBASE_MAX}")
+        elif not DELTA_MIN <= delta <= DELTA_MAX:
+            raise ValueError(f"entry delta {delta} outside {DELTA_MIN}..{DELTA_MAX}")
+        deltas.append(delta & 0xFF)
+    chs = bytes(entry.ch for entry in parts.entries)
+    counts = bytes(entry.count for entry in parts.entries)
+    return _write_archive(parts.flags, parts.literals, deltas, chs, counts)
 
-    ``serialize(parse(a)) == a`` for every archive this module produces.
-    Every failure raises :class:`ArchiveFormatError` naming the offending
-    section.
 
-    The cost grows with the number of entries, not with the flag bitmap:
-    unpacking the flags of 256 KiB takes about 0.5 ms, and each entry about
-    0.4 us, at the reference speed of ``benchmarks/speed.py``.  So
-    entry-dense inputs parse slowest: 36k entries on 256 KiB of a 4-letter
-    alphabet take about 14 ms.
+def _read_archive(data: bytes) -> tuple[bytearray, bytes, bytes, bytes, bytes]:
+    """Validate an archive; return its flags, literals and entry columns.
+
+    The columns are the entry section's three lanes (``deltas``, ``chs``,
+    ``counts``), one byte per entry as stored.  Every failure raises
+    :class:`ArchiveFormatError` naming the offending section.
     """
     if len(data) < HEADER_SIZE:
         raise ArchiveFormatError("header", f"truncated: {len(data)} bytes, need {HEADER_SIZE}")
@@ -214,25 +252,42 @@ def parse(data: bytes) -> EncodedParts:
             f"{popcount} flagged + {literal_len} literal bytes != original_len {original_len}",
         )
 
-    entries: list[CompressedEntry] = []
-    make = CompressedEntry._make
-    for fields in _ENTRY.iter_unpack(data[pos:]):
-        if 1 < fields[2] <= MAX_COUNT:
-            entries.append(make(fields))
-            continue
-        delta, ch, count = fields
-        i = len(entries)
-        if count:
-            raise ArchiveFormatError("entries", f"entry {i} has illegal count {count}")
-        if ch != 0:
-            raise ArchiveFormatError("entries", f"rebase entry {i} with nonzero character")
-        if delta == 0:
-            raise ArchiveFormatError("entries", f"rebase entry {i} with zero advance")
-        entries.append(CompressedEntry(delta & 0xFF, 0, 0))
-    covered = sum(data[pos + 2::3])  # every count is now legal; rebases add 0
+    deltas, chs, counts = data[pos::3], data[pos + 1::3], data[pos + 2::3]
+    fault = _entry_fault(deltas, chs, counts)
+    if fault:
+        raise ArchiveFormatError("entries", fault)
+    covered = sum(counts)  # every count is now legal; rebases add 0
     if covered != popcount:
         raise ArchiveFormatError(
             "entries", f"entry counts cover {covered} bytes but {popcount} are flagged"
         )
+    return unpack_flags(packed, original_len), literals, deltas, chs, counts
 
-    return EncodedParts(unpack_flags(packed, original_len), literals, entries)
+
+def _entry_deltas(deltas: bytes, counts: bytes) -> list[int]:
+    """The stored delta bytes as :class:`CompressedEntry` holds them.
+
+    A real entry's delta is signed; a rebase's advance (count 0) is not.
+    """
+    out = memoryview(deltas).cast("b").tolist()
+    i = counts.find(0)
+    while i >= 0:
+        out[i] = deltas[i]
+        i = counts.find(0, i + 1)
+    return out
+
+
+def _entry_records(deltas: bytes, chs: bytes, counts: bytes) -> list[CompressedEntry]:
+    """One :class:`CompressedEntry` per entry of the three entry columns."""
+    return list(map(CompressedEntry, _entry_deltas(deltas, counts), chs, counts))
+
+
+def parse(data: bytes) -> EncodedParts:
+    """Validate an archive and recover its parts.
+
+    ``serialize(parse(a)) == a`` for every archive this module produces.
+    Every failure raises :class:`ArchiveFormatError` naming the offending
+    section.
+    """
+    flags, literals, *columns = _read_archive(data)
+    return EncodedParts(flags, literals, _entry_records(*columns))

@@ -19,10 +19,14 @@ live when their start circle is reached, stay in a list ordered by
 serialized index, and a cursor walks that list once per circle.  This
 yields the same matches as the literal scan (the ordering invariants make
 the next unconsumed live entry always the match) in time linear in output
-size plus total run coverage.  An entry is its serialized index, an id
-into the ``ch``, ``start`` and ``end`` (start + count) columns, so the
-live list, the entries not yet live and the circles where the list
-changes are all lists of ints.  Three facts keep the work per circle small:
+size plus total run coverage.  Entries arrive as the three byte columns
+of the archive's entry section (delta, byte, count), sliced straight from
+it; one walk over them resolves the deltas into ``ch``, ``start`` and
+``end`` (start + count) columns of the real entries, in serialized order,
+and no record is built per entry.  An entry is its index into these
+columns, so the live list, the entries not yet live and the circles where
+the list changes are all lists of ints.  :func:`undo_delta` runs the same
+walk over a list of records.  Three facts keep the work per circle small:
 
 * A 256-slot stamp list, ``stamp[b] == circle``, records the bytes the
   current circle holds, so opening a circle allocates nothing.
@@ -41,9 +45,9 @@ changes are all lists of ints.  Three facts keep the work per circle small:
 """
 
 from itertools import islice
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .container import ArchiveFormatError, CompressedEntry, DeltaContext, parse
+from .container import REBASE_MAX, CompressedEntry, DeltaContext, _entry_deltas, _read_archive
 
 
 class CorruptArchiveError(ValueError):
@@ -58,42 +62,52 @@ class LiveEntry(NamedTuple):
     count: int
 
 
+def _resolve(entries: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """The ``ch``, ``start`` and ``end`` (start + count) columns of the real entries.
+
+    ``entries`` yields (delta, ch, count) as :class:`CompressedEntry` holds
+    them.  Rebase entries advance the reference base and produce nothing;
+    real entries update the reference by the encoder's start + count rule.
+    """
+    ctx = DeltaContext()
+    observe = ctx.observe
+    ch: list[int] = []
+    start: list[int] = []
+    end: list[int] = []
+    for delta, c, count in entries:
+        if not count:
+            if not 1 <= delta <= REBASE_MAX:
+                raise CorruptArchiveError(f"rebase advance {delta} outside 1..{REBASE_MAX}")
+            ctx.advance(delta)
+            continue
+        first = ctx.base + delta
+        if first < 1:
+            raise CorruptArchiveError(f"entry resolves to start circle {first}")
+        ch.append(c)
+        start.append(first)
+        end.append(first + count)
+        observe(first, count)
+    return ch, start, end
+
+
 def undo_delta(entries: list[CompressedEntry]) -> list[LiveEntry]:
     """Resolve deltas to absolute start circles, mirroring the encoder.
 
     Rebase entries advance the reference base and produce nothing; real
     entries update the reference by the identical start + count rule.
     """
-    ctx = DeltaContext()
-    live: list[LiveEntry] = []
-    for entry in entries:
-        if entry.is_rebase:
-            if not 1 <= entry.delta <= 255:
-                raise CorruptArchiveError(f"rebase advance {entry.delta} outside 1..255")
-            ctx.advance(entry.delta)
-            continue
-        start = ctx.base + entry.delta
-        if start < 1:
-            raise CorruptArchiveError(f"entry resolves to start circle {start}")
-        live.append(LiveEntry(entry.ch, start, entry.count))
-        ctx.observe(start, entry.count)
-    return live
+    ch, start, end = _resolve(entries)
+    return [LiveEntry(c, first, last - first) for c, first, last in zip(ch, start, end)]
 
 
 def decode(archive: bytes) -> bytes:
     """Decompress an archive back to the exact original bytes."""
-    parts = parse(archive)
-    flags, literals = parts.flags, parts.literals
-    live = undo_delta(parts.entries)
-    del parts  # frees the parsed entries while the decode runs
+    flags, literals, deltas, chs, counts = _read_archive(archive)
+    ch, start, end = _resolve(zip(_entry_deltas(deltas, counts), chs, counts))
     n = len(flags)
     if flags.count(0) != len(literals):
         raise CorruptArchiveError("literal stream does not match the 0 flags")
 
-    ch = [entry.ch for entry in live]
-    start = [entry.start for entry in live]
-    end = [entry.start + entry.count for entry in live]
-    del live  # the columns replace the records
     pending = sorted(range(len(start)), key=start.__getitem__, reverse=True)  # not live yet
     # Every live entry is used once per circle, so the live list changes only
     # where an entry starts or where one ends.

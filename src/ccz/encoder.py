@@ -63,7 +63,11 @@ a later entry's start unreachable within a signed byte of the preceding
 reference.  Finally one walk over the surviving list delta encodes it
 against the reference rule described in :mod:`ccz.container`; the same
 walk finds the runs too far behind the reference base to be serialized,
-which are uncompressed as well.  :func:`encode` clears the flags of both
+which are uncompressed as well.  The walk emits the entries as three byte
+columns (delta, byte, count) holding what the archive stores, so
+:func:`ccz.compress` writes them as they are; only :func:`encode` and
+:func:`delta_encode_entries` build :class:`CompressedEntry` records from
+them.  :func:`encode` clears the flags of both
 kinds of uncompressed runs (a pruned run covers two circles, so its flags
 sit at ``first`` and ``last``) and builds the literal stream once, at the
 end.  Pruning and delta coding work on run ids and the columns; the public
@@ -84,6 +88,7 @@ from .container import (
     CompressedEntry,
     DeltaContext,
     EncodedParts,
+    _entry_records,
 )
 
 # Repeated circles are copied in one step only from 2 + _STEADY_BYTES // size
@@ -340,16 +345,19 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
     runs instead.
     """
     nodes = list(run_list)
-    entries, behind = _delta_encode(range(len(nodes)), *_columns(nodes))
+    columns, behind = _delta_encode(range(len(nodes)), *_columns(nodes))
     if behind:
         raise ValueError(f"run start {nodes[behind[0]].start} is too far behind the reference base")
-    return entries
+    return _entry_records(*columns)
 
 
 def _delta_encode(
     order: Iterable[int], ch: list[int], start: list[int], count: list[int]
-) -> tuple[list[CompressedEntry], list[int]]:
-    """Entries for the serializable runs of ``order``, plus the ids left ``behind``.
+) -> tuple[tuple[bytearray, bytearray, bytearray], list[int]]:
+    """Entry columns for the serializable runs of ``order``, plus the ids left ``behind``.
+
+    The columns (``deltas``, ``chs``, ``counts``) hold each entry's bytes
+    as the archive stores them, deltas in two's complement.
 
     Rebases only move the base forward, so a start more than 128 circles
     behind it cannot be serialized.  Such a run never updates the reference
@@ -359,7 +367,7 @@ def _delta_encode(
     256 KiB inputs, all periodic with defects, have one.
     """
     ctx = DeltaContext()
-    out: list[CompressedEntry] = []
+    deltas, chs, counts = bytearray(), bytearray(), bytearray()
     behind: list[int] = []
     for r in order:
         first_circle = start[r]
@@ -367,15 +375,19 @@ def _delta_encode(
         if delta > DELTA_MAX:
             while ctx.base < first_circle - 1:
                 hop = min(REBASE_MAX, first_circle - 1 - ctx.base)
-                out.append(CompressedEntry(hop, 0, 0))
+                deltas.append(hop)
+                chs.append(0)
+                counts.append(0)
                 ctx.advance(hop)
             delta = 1
         elif delta < DELTA_MIN:
             behind.append(r)
             continue
-        out.append(CompressedEntry(delta, ch[r], count[r]))
+        deltas.append(delta & 0xFF)
+        chs.append(ch[r])
+        counts.append(count[r])
         ctx.observe(first_circle, count[r])
-    return out, behind
+    return (deltas, chs, counts), behind
 
 
 def remove_redundant_entries(
@@ -461,15 +473,20 @@ def _uncompress(
     return flags, bytes(out)
 
 
-def _encode_pipeline(
-    data: bytes,
-) -> tuple[EncodedParts, EncoderState, list[int], list[int], list[int]]:
-    """Parts, the scan state, and the ids of the runs found, left by pruning, and left behind."""
+def _encode_pipeline(data: bytes) -> tuple[
+    bytearray, bytes, tuple[bytearray, bytearray, bytearray],
+    EncoderState, list[int], list[int], list[int],
+]:
+    """Flags, literals and entry columns, then the scan state and the ids
+    of the runs found, left by pruning, and left behind.
+
+    ``compress`` writes the first three straight into the archive.
+    """
     state = EncoderState(data)
     state.run()
     found = state.theta_order()
     pruned, removed = _prune(found, state.start, state.count)
-    entries, behind = _delta_encode(pruned, state.ch, state.start, state.count)
+    columns, behind = _delta_encode(pruned, state.ch, state.start, state.count)
     flags, first, last = state.flags, state.first, state.last
     for r in removed:  # two circles each
         flags[first[r]] = flags[last[r]] = 0
@@ -477,16 +494,16 @@ def _encode_pipeline(
         for off in state.view(r).occurrences:
             flags[off] = 0
     literals = bytes(compress(data, flags.translate(_INVERT)))
-    return EncodedParts(flags, literals, entries), state, found, pruned, behind
+    return flags, literals, columns, state, found, pruned, behind
 
 
 def trace_encode(data: bytes) -> EncodeTrace:
     """Encode ``data`` and report every kept and uncompressed run."""
-    parts, state, found, pruned, behind = _encode_pipeline(data)
+    flags, literals, columns, state, found, pruned, behind = _encode_pipeline(data)
     pruned_set, behind_set = set(pruned), set(behind)
     removed = [r for r in found if r not in pruned_set] + behind
     return EncodeTrace(
-        parts,
+        EncodedParts(flags, literals, _entry_records(*columns)),
         tuple(state.view(r) for r in pruned if r not in behind_set),
         tuple(state.view(r) for r in removed),
     )
@@ -494,4 +511,5 @@ def trace_encode(data: bytes) -> EncodeTrace:
 
 def encode(data: bytes) -> EncodedParts:
     """Compress ``data`` into flags, literals and entries."""
-    return _encode_pipeline(data)[0]
+    flags, literals, columns = _encode_pipeline(data)[:3]
+    return EncodedParts(flags, literals, _entry_records(*columns))

@@ -1,10 +1,12 @@
+import itertools
+import re
 import struct
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ccz import decompress
+from ccz import compress, decompress
 from ccz.container import (
     HEADER_SIZE,
     ArchiveFormatError,
@@ -16,6 +18,8 @@ from ccz.container import (
     unpack_flags,
 )
 from ccz.encoder import encode
+
+from oracles import underflow_input
 
 ABABBA_ARCHIVE = bytes.fromhex(
     "43435a3101"              # magic "CCZ1", version 1
@@ -152,6 +156,41 @@ def test_parse_rejects_bad_rebase():
     archive[25] = 0  # rebase advance must be nonzero
     with pytest.raises(ArchiveFormatError, match="rebase"):
         parse(bytes(archive))
+    archive[26] = 7  # both faults: the character is named
+    with pytest.raises(ArchiveFormatError, match="^entries: rebase entry 0 with nonzero character$"):
+        parse(bytes(archive))
+
+
+ENTRY_FAULTS = {
+    "illegal count": (b"\x01\x41\x01", "entry {} has illegal count 1"),
+    "nonzero character": (b"\x05\x07\x00", "rebase entry {} with nonzero character"),
+    "zero advance": (b"\x00\x00\x00", "rebase entry {} with zero advance"),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(ENTRY_FAULTS, 2))
+def test_parse_names_the_first_of_two_faulty_entries(first, second):
+    # Entries 0, 2 and 4 are legal; the faults sit at entries 1 and 3.
+    good = b"\x01\x42\x02"
+    entries = good + ENTRY_FAULTS[first][0] + good + ENTRY_FAULTS[second][0] + good
+    archive = struct.pack("<4sBQQI", b"CCZ1", 1, 0, 0, 5) + entries
+    message = "entries: " + ENTRY_FAULTS[first][1].format(1)
+    with pytest.raises(ArchiveFormatError, match=f"^{re.escape(message)}$"):
+        parse(archive)
+
+
+def test_parse_inverts_serialize_with_rebases():
+    # Rebase advances of 128 and up and negative real deltas share the
+    # stored byte range; each keeps its own reading.
+    entries = [
+        CompressedEntry(255, 0, 0),
+        CompressedEntry(128, 0, 0),
+        CompressedEntry(1, ord("Q"), 3),
+        CompressedEntry(-128, ord("R"), 2),
+        CompressedEntry(127, ord("S"), 127),
+    ]
+    parts = EncodedParts(bytearray([1] * 132), b"", entries)
+    assert parse(serialize(parts)).entries == entries
 
 
 def test_parse_entry_coverage_mismatch():
@@ -169,6 +208,8 @@ def test_serialize_validates_entries():
         serialize(EncodedParts(bytearray([1] * 200), b"", [CompressedEntry(200, 65, 3)]))
     with pytest.raises(ValueError):
         serialize(EncodedParts(bytearray(), b"", [CompressedEntry(0, 0, 0)]))
+    with pytest.raises(ValueError, match="rebase entry 0 with nonzero character"):
+        serialize(EncodedParts(bytearray(), b"", [CompressedEntry(5, 7, 0)]))
 
 
 @given(st.binary(max_size=1024))
@@ -178,3 +219,20 @@ def test_serialize_parse_identity_on_encodings(data):
     assert serialize(parse(archive)) == archive
     expected = HEADER_SIZE + (len(data) + 7) // 8 + len(parts.literals) + 3 * len(parts.entries)
     assert len(archive) == expected
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=1024),
+        st.lists(st.sampled_from(b"ACGT"), max_size=2048).map(bytes),
+    )
+)
+@example(underflow_input())
+def test_compress_writes_what_serialize_writes(data):
+    # compress writes the encoder's entry columns without building records;
+    # serialize writes the records of encode.  Both must give one archive.
+    parts = encode(data)
+    archive = compress(data)
+    assert archive == serialize(parts)
+    assert parse(archive).entries == parts.entries

@@ -1,6 +1,10 @@
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccz import compress, decompress
 from ccz.container import CompressedEntry, EncodedParts, serialize
 from ccz.decoder import CorruptArchiveError, decode, undo_delta
 from ccz.encoder import encode
@@ -69,6 +73,25 @@ def test_decode_golden_archives():
     assert decode(serialize(encode(b"ABABBA"))) == b"ABABBA"
     assert decode(serialize(encode(b"THEPHONEBLAH"))) == b"THEPHONEBLAH"
     assert decode(serialize(encode(b""))) == b""
+
+
+def test_decompress_leaves_nothing_for_the_collector():
+    # Entries stay byte columns from the archive to the decoder's int
+    # columns, so decoding 16k entries allocates no tracked object per entry.
+    archive = compress(bytes(random.Random(6).choices(b"ACGT", k=65536)))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        decompress(archive)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 1
 
 
 def test_decode_errors_when_no_entry_is_admissible():

@@ -98,6 +98,25 @@ def test_scan_leaves_nothing_for_the_collector():
     assert len(collections) <= 1
 
 
+def test_compress_leaves_nothing_for_the_collector():
+    # Entries go from the run table to the archive as byte columns, so
+    # compress allocates no tracked object per run or entry either.
+    data = bytes(random.Random(6).choices(b"ACGT", k=65536))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        compress(data)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 1
+
+
 def test_archive_is_the_same_under_any_hash_seed():
     # Nothing in the encoder may depend on set or dict order of hashed keys.
     script = (
