@@ -61,14 +61,12 @@ def split_circles(data: bytes) -> CircleSegmentation:
     """
     boundaries: list[tuple[int, int]] = []
     start = 0
-    seen: set[int] = set()
+    where = [-1] * 256  # the latest offset of each byte value
     for offset, value in enumerate(data):
-        if value in seen:
+        if where[value] >= start:
             boundaries.append((start, offset - start))
             start = offset
-            seen = {value}
-        else:
-            seen.add(value)
+        where[value] = offset
     if data:
         boundaries.append((start, len(data) - start))
     return CircleSegmentation(tuple(boundaries))

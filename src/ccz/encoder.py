@@ -1,10 +1,14 @@
 """Run detection across consecutive circles, in one pass over the input.
 
 The encoder visits each byte once, left to right.  Circles are found on
-the way: a byte already in the current circle's ``{byte: offset}`` dict
-opens the next circle, and that dict becomes the previous circle's
-lookup as it is.  A byte ``c`` of circle r >= 2 is handled by the first
-matching rule:
+the way from one 256-slot table, ``where``, holding the latest offset of
+each byte value, and the offsets ``cs`` and ``ps`` at which the current
+and the previous circle start.  The byte ``c`` at offset ``q`` reads
+``p = where[c]`` before setting ``where[c] = q``: ``p >= cs`` means ``c``
+is in the current circle already, so it opens the next one (``ps, cs =
+cs, q``), and then, as otherwise, ``ps <= p < cs`` means ``p`` is c's
+offset in the previous circle.  Nothing is allocated per circle.  A byte
+``c`` of circle r >= 2 is handled by the first matching rule:
 
 * extend: the most recent run of ``c`` ends exactly at circle r-1, holds
   fewer than 127 circles, and sits after the cursor (the last run matched
@@ -51,9 +55,10 @@ input repeats circle r-1 from there on, the rule above extends each run
 in turn: the chain table holds it, the bisect over ``active_occ`` finds it
 at the index just past the cursor, and no start or paradox can occur.  So
 k repeats extend every run by k circles, in the same order, which is done
-at once (each count grows by k and each ``last`` by k circle sizes), up
-to the first of the count cap, ``upto`` and a changed byte; the byte loop
-takes over from there.  Only stretches of at least
+at once (each count grows by k and each ``last`` by k circle sizes, and
+``where``, ``ps`` and ``cs`` move to the last two repeats), up to the
+first of the count cap, ``upto`` and a changed byte; the byte loop takes
+over from there.  Only stretches of at least
 ``2 + 16 // size`` repeats are copied, so inputs without them pay one
 ``startswith`` per fully matched circle.
 
@@ -135,12 +140,15 @@ class EncoderState:
     ``last`` and ``prev``, indexed by run id (see the module docstring);
     ``last_run`` is the id of the last run in theta order, -1 while there
     is none, and ``chains[c]`` the id of the most recent run of byte ``c``.
-    ``circle`` is the 1-based index of the circle being scanned and
-    ``occ`` maps each of its bytes to its offset; ``prev_occ`` is the same
-    dict for the previous circle.  ``active`` lists the ids of the runs
-    covering the previous circle in theta order, ``active_occ`` their
-    offsets there, and ``cursor`` is the index in ``active`` of the last run
-    matched or created in the current circle, -1 at every circle start.
+    ``circle`` is the 1-based index of the circle being scanned, ``cs``
+    its start offset and ``ps`` that of the previous circle (equal to
+    ``cs`` in circle 1); ``where[b]`` is the latest offset of byte ``b``
+    scanned, -1 for none.  ``occ`` and ``prev_occ`` map the bytes of the
+    current and the previous circle to their offsets, built on each read.
+    ``active`` lists the ids of the runs covering the previous circle in
+    theta order, ``active_occ`` their offsets there, and ``cursor`` is the
+    index in ``active`` of the last run matched or created in the current
+    circle, -1 at every circle start.
     Runs matched in the current circle and their offsets collect in
     ``matched`` and ``matched_occ``, which become ``active`` and
     ``active_occ`` when the next circle opens.
@@ -158,8 +166,8 @@ class EncoderState:
         self.last_run = -1
         self.chains = [-1] * 256
         self.circle = 1
-        self.occ: dict[int, int] = {}
-        self.prev_occ: dict[int, int] = {}
+        self.where = [-1] * 256
+        self.cs = self.ps = 0
         self.active: list[int] = []
         self.active_occ: list[int] = []
         self.matched: list[int] = []
@@ -167,27 +175,38 @@ class EncoderState:
         self.cursor = -1
         self._pos = 0                        # next offset to process
 
+    @property
+    def occ(self) -> dict[int, int]:
+        """Each byte of the current circle mapped to its offset (a new dict)."""
+        return dict(zip(self.data[self.cs:self._pos], range(self.cs, self._pos)))
+
+    @property
+    def prev_occ(self) -> dict[int, int]:
+        """Each byte of the previous circle mapped to its offset (a new dict)."""
+        return dict(zip(self.data[self.ps:self.cs], range(self.ps, self.cs)))
+
     def run(self) -> None:
         self.feed_prefix(len(self.data))
 
     def feed_prefix(self, upto: int) -> None:
         """Process all offsets below ``upto``, opening a circle that starts there."""
-        data, flags, chains = self.data, self.flags, self.chains
+        data, flags, chains, where = self.data, self.flags, self.chains, self.where
         run_ch, start, count, first, last, prev = (
             self.ch, self.start, self.count, self.first, self.last, self.prev
         )
         last_run = self.last_run
-        circle, occ, prev_occ, cursor = self.circle, self.occ, self.prev_occ, self.cursor
+        circle, cs, ps, cursor = self.circle, self.cs, self.ps, self.cursor
         active, active_occ = self.active, self.active_occ
         matched, matched_occ = self.matched, self.matched_occ
-        # Circle 1 needs no case of its own: prev_occ is empty and no run exists yet.
+        # Circle 1 needs no case of its own: ps == cs leaves no previous circle.
         it = enumerate(data[self._pos:upto], self._pos)
         for q, c in it:
-            if c in occ:
+            p = where[c]
+            if p >= cs:
                 circle += 1
-                prev_occ, occ, cursor = occ, {}, -1
+                ps, cs, cursor = cs, q, -1
                 active, active_occ, matched, matched_occ = matched, matched_occ, [], []
-                size = len(prev_occ)
+                size = q - ps
                 reps = len(active) == size and _steady_repeats(data, q, size, active, count, upto)
                 if reps:
                     # Every run of the previous circle extends once per repeat,
@@ -199,17 +218,16 @@ class EncoderState:
                     flags[q:q + span] = b"\x01" * span
                     circle += reps - 1
                     end = q + span
-                    unit = data[q - size:q]
-                    prev_occ = dict(zip(unit, range(end - 2 * size, end - size)))
-                    occ = dict(zip(unit, range(end - size, end)))
-                    active_occ = list(range(end - 2 * size, end - size))
-                    matched, matched_occ = active.copy(), list(range(end - size, end))
+                    ps, cs = end - 2 * size, end - size
+                    for off, b in enumerate(data[cs:end], cs):
+                        where[b] = off
+                    active_occ = list(range(ps, cs))
+                    matched, matched_occ = active.copy(), list(range(cs, end))
                     cursor = size - 1
                     next(islice(it, span - 1, span - 1), None)
                     continue
-            occ[c] = q
-            p = prev_occ.get(c)
-            if p is None:
+            where[c] = q
+            if p < ps:
                 continue
             r = chains[c]
             # A run of c ends at the previous circle exactly when it holds c's offset there.
@@ -247,12 +265,12 @@ class EncoderState:
             matched_occ.append(q)
         self._pos = max(self._pos, upto)
         # Open a circle that starts at upto, as the loop would on its first byte.
-        if self._pos < len(data) and data[self._pos] in occ:
+        if self._pos < len(data) and where[data[self._pos]] >= cs:
             circle += 1
-            prev_occ, occ, cursor = occ, {}, -1
+            ps, cs, cursor = cs, self._pos, -1
             active, active_occ, matched, matched_occ = matched, matched_occ, [], []
         self.last_run = last_run
-        self.circle, self.occ, self.prev_occ, self.cursor = circle, occ, prev_occ, cursor
+        self.circle, self.cs, self.ps, self.cursor = circle, cs, ps, cursor
         self.active, self.active_occ = active, active_occ
         self.matched, self.matched_occ = matched, matched_occ
 
@@ -319,8 +337,10 @@ def paradox_check(state: EncoderState, c: int) -> bool:
     any placement would swap order with a run matched earlier in the
     current circle.
     """
-    p = state.prev_occ.get(c)
-    if p is None:
+    # where[c] may already be c's offset in the current circle, so search
+    # the previous one.
+    p = state.data.find(c, state.ps, state.cs)
+    if p < 0:
         return False
     r = state.chains[c]
     if r >= 0 and state.last[r] == p and state.count[r] < MAX_COUNT:
@@ -415,36 +435,42 @@ def remove_redundant_entries(
 def _prune(
     order: Iterable[int], start: list[int], count: list[int]
 ) -> tuple[list[int], list[int]]:
-    """The fixpoint of :func:`remove_redundant_entries` on run ids: (kept, removed)."""
+    """The fixpoint of :func:`remove_redundant_entries` on run ids: (kept, removed).
+
+    ``base`` and ``reach`` track the reference as :class:`DeltaContext` does.
+    """
     surviving = list(order)
     removed: list[int] = []
     changed = True
     while changed:
         changed = False
-        ctx = DeltaContext()
+        base = reach = 0
         kept: list[int] = []
         for i, r in enumerate(surviving):
-            if count[r] == 2 and _removal_is_safe(surviving, i, ctx, start, count):
+            end = start[r] + count[r]
+            # A run ending within the reach is no reference: later deltas never point at it.
+            if count[r] == 2 and (
+                end <= reach or _removal_is_safe(surviving, i, base, reach, start, count)
+            ):
                 removed.append(r)
                 changed = True
                 continue
-            ctx.observe(start[r], count[r])
+            if end > reach:
+                base, reach = start[r], end
             kept.append(r)
         surviving = kept
     return surviving, removed
 
 
 def _removal_is_safe(
-    order: list[int], i: int, ctx: DeltaContext, start: list[int], count: list[int]
+    order: list[int], i: int, base: int, reach: int, start: list[int], count: list[int]
 ) -> bool:
-    r = order[i]
-    if start[r] + count[r] <= ctx.reach:
-        return True  # not a reference node: later deltas never point at it
+    """Can reference run ``order[i]`` go without a later delta leaving the range?"""
     for j in range(i + 1, len(order)):
         later = order[j]
-        if not DELTA_MIN <= start[later] - ctx.base <= DELTA_MAX:
+        if not DELTA_MIN <= start[later] - base <= DELTA_MAX:
             return False
-        if start[later] + count[later] > ctx.reach:
+        if start[later] + count[later] > reach:
             return True  # a new reference takes over; nothing beyond it is affected
     return True
 
@@ -458,19 +484,21 @@ def _uncompress(
     inserted at its place among the old literals.
     """
     flags = bytearray(flags)
-    flipped: dict[int, int] = {}
+    flipped = bytearray(len(flags))  # 1 where a byte is flipped
+    chars = bytearray(len(flags))    # the flipped bytes, at their offsets
     for node in runs:
+        c = node.ch
         for off in node.occurrences:
             flags[off] = 0
-            flipped[off] = node.ch
-    if not flipped:
+            flipped[off] = 1
+            chars[off] = c
+    if 1 not in flipped:
         return flags, literals
-    out = bytearray()
-    old = iter(literals)
-    for off, flag in enumerate(flags):
-        if not flag:
-            out.append(flipped[off] if off in flipped else next(old))
-    return flags, bytes(out)
+    # Each new literal comes from the flipped bytes where flipped is 1, else
+    # from the old literals: a merge done by C-level iterators.
+    sources = (iter(literals), compress(chars, flipped))
+    merge = compress(flipped, flags.translate(_INVERT))
+    return flags, bytes(map(next, map(sources.__getitem__, merge)))
 
 
 def _encode_pipeline(data: bytes) -> tuple[

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ccz
 from ccz import compress
+from ccz.circles import split_circles
 from ccz.container import CompressedEntry, serialize
 from ccz.decoder import decode
 from ccz.encoder import (
@@ -238,6 +239,24 @@ class TestParadoxCheck:
         state.feed_prefix(7)  # circle 2: H matched, O and N literal
         assert paradox_check(state, ord("E")) is False
 
+    @pytest.mark.parametrize(
+        "data, cut, byte, expected",
+        [
+            # In both circles: where[c] points into the current circle, so the
+            # previous circle must be searched for c's offset there.
+            (b"ABBA", 4, "A", True),   # start at offset 0 would cross B's run
+            (b"ABBA", 4, "B", False),  # its previous offset is already flagged
+            (b"ABABAB", 4, "A", False),  # extend, nothing matched yet
+            (b"ABBA", 3, "A", True),   # start, crossing B's run
+            (b"ABBC", 4, "C", False),  # only in the current circle
+            (b"ABBA", 4, "C", False),  # in neither circle
+        ],
+    )
+    def test_pinned_cases(self, data, cut, byte, expected):
+        state = EncoderState(data)
+        state.feed_prefix(cut)
+        assert paradox_check(state, ord(byte)) is expected
+
 
 def _split_inputs():
     """Each input with a cut right after a copy of repeated circles that a new byte extends."""
@@ -277,6 +296,24 @@ def test_feed_prefix_splits_change_nothing(name):
         state.run()
         assert bytes(state.flags) == bytes(whole.flags)
         assert _run_tuples(state) == _run_tuples(whole)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.binary(min_size=1, max_size=600),
+              st.lists(st.integers(0, 3), min_size=1, max_size=600).map(bytes)),
+    st.data(),
+)
+def test_scan_circles_match_split_circles(data, draw):
+    # After feed_prefix(cut) the current circle is the one holding data[cut]
+    # (or the last one), so split_circles of data[:cut + 1] ends with it.
+    state = EncoderState(data)
+    for cut in sorted(draw.draw(st.lists(st.integers(1, len(data)), max_size=5))):
+        state.feed_prefix(cut)
+        starts = [start for start, _ in split_circles(data[:cut + 1]).boundaries]
+        assert state.circle == len(starts)
+        assert state.cs == starts[-1]
+        assert state.ps == (starts[-2] if len(starts) > 1 else 0)
 
 
 def _snapshot(state):
