@@ -89,32 +89,6 @@ class EncodedParts:
     entries: list[CompressedEntry] = field(default_factory=list)
 
 
-class DeltaContext:
-    """Reference tracker shared by the delta pass and its decoder mirror.
-
-    ``base`` is the current reference's start circle, ``reach`` its
-    start + count.  Both start at 0; ``reach`` never decreases.
-    """
-
-    __slots__ = ("base", "reach")
-
-    def __init__(self, base: int = 0, reach: int = 0):
-        self.base = base
-        self.reach = reach
-
-    def advance(self, amount: int) -> None:
-        """Apply a rebase: move the base forward without a new reference."""
-        self.base += amount
-        if self.reach < self.base:
-            self.reach = self.base
-
-    def observe(self, start: int, count: int) -> None:
-        """Consider a just-emitted entry as the new reference."""
-        if start + count > self.reach:
-            self.base = start
-            self.reach = start + count
-
-
 def pack_flags(bits: Iterable[int]) -> bytes:
     """Pack 0/1 flags MSB-first: bit i lands in bit 7-(i%8) of byte i//8."""
     raw = bytes(bits)

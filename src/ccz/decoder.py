@@ -47,7 +47,7 @@ walk over a list of records.  Three facts keep the work per circle small:
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .container import REBASE_MAX, CompressedEntry, DeltaContext, _entry_deltas, _read_archive
+from .container import REBASE_MAX, CompressedEntry, _entry_deltas, _read_archive
 
 
 class CorruptArchiveError(ValueError):
@@ -69,8 +69,7 @@ def _resolve(entries: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[i
     them.  Rebase entries advance the reference base and produce nothing;
     real entries update the reference by the encoder's start + count rule.
     """
-    ctx = DeltaContext()
-    observe = ctx.observe
+    base = reach = 0  # the reference's start circle and start + count
     ch: list[int] = []
     start: list[int] = []
     end: list[int] = []
@@ -78,15 +77,19 @@ def _resolve(entries: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[i
         if not count:
             if not 1 <= delta <= REBASE_MAX:
                 raise CorruptArchiveError(f"rebase advance {delta} outside 1..{REBASE_MAX}")
-            ctx.advance(delta)
+            base += delta
+            if reach < base:
+                reach = base
             continue
-        first = ctx.base + delta
+        first = base + delta
         if first < 1:
             raise CorruptArchiveError(f"entry resolves to start circle {first}")
         ch.append(c)
         start.append(first)
-        end.append(first + count)
-        observe(first, count)
+        last = first + count
+        end.append(last)
+        if last > reach:
+            base, reach = first, last
     return ch, start, end
 
 

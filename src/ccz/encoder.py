@@ -62,6 +62,20 @@ over from there.  Only stretches of at least
 ``2 + 16 // size`` repeats are copied, so inputs without them pay one
 ``startswith`` per fully matched circle.
 
+A copy that leaves every run at the cap (so the runs had equal counts)
+goes on across whole cap cycles of 127 repeats.  Past the cap the byte loop
+leaves the next circle, B, all literal for now: each byte's run is capped
+and its occurrence in the circle before is flagged.  In circle B+1 no run
+is active, so each byte starts a run at the tail of the theta order, in
+offset order, with its first occurrence in B; from B+2 on a copy extends
+these runs to the cap at B+126.  That is the state of the first cap again,
+127 circles on, so while the repeats fill whole cycles within ``upto``
+(one ``startswith``, then a binary search) each cycle is added at once:
+per byte, a run of count 127 starting at B, and the whole span flagged.
+``where``, ``ps``, ``cs``, ``chains``, ``active``, ``matched`` and the
+cursor are left as the last cycle's copy leaves them.  A partial cycle, a
+changed byte or ``upto`` is left to the byte loop and the copy.
+
 After the scan, runs covering only two circles are uncompressed again (a
 3-byte entry saving 2 bytes is a net loss) unless dropping one would leave
 a later entry's start unreachable within a signed byte of the preceding
@@ -91,7 +105,6 @@ from .container import (
     MAX_COUNT,
     REBASE_MAX,
     CompressedEntry,
-    DeltaContext,
     EncodedParts,
     _entry_records,
 )
@@ -215,9 +228,32 @@ class EncoderState:
                     for r in active:
                         count[r] += reps
                         last[r] += span
-                    flags[q:q + span] = b"\x01" * span
                     circle += reps - 1
                     end = q + span
+                    full = min(map(count.__getitem__, active)) == MAX_COUNT and _cycles(
+                        data, end, size, upto
+                    )
+                    if full:
+                        # Whole cap cycles: in each, every byte of the unit
+                        # starts a run at the tail that is copied to the cap
+                        # (see the module docstring).
+                        unit, cycle, n = data[q - size:q], MAX_COUNT * size, len(run_ch)
+                        firsts = [end + cycle * j + i for j in range(full) for i in range(size)]
+                        run_ch += unit * full
+                        start += [circle + 1 + MAX_COUNT * j for j in range(full) for _ in unit]
+                        count += [MAX_COUNT] * len(firsts)
+                        first += firsts
+                        last += [f + cycle - size for f in firsts]
+                        prev.append(last_run)
+                        prev += range(n, n + len(firsts) - 1)
+                        last_run = len(run_ch) - 1
+                        active = list(range(last_run + 1 - size, last_run + 1))
+                        for b, r in zip(unit, active):
+                            chains[b] = r
+                        circle += full * MAX_COUNT
+                        span += full * cycle
+                        end += full * cycle
+                    flags[q:end] = b"\x01" * span
                     ps, cs = end - 2 * size, end - size
                     for off, b in enumerate(data[cs:end], cs):
                         where[b] = off
@@ -318,9 +354,26 @@ def _steady_repeats(
     limit = min(MAX_COUNT - max(map(count.__getitem__, active)), (upto - q) // size)
     if limit <= least:
         return max(limit, 0)
+    return _repeats(data, unit, q, least, limit)
+
+
+def _cycles(data: bytes, end: int, size: int, upto: int) -> int:
+    """Whole cap cycles (127 repeats of the circle before ``end``) from ``end`` to ``upto``."""
+    cycle = data[end - size:end] * MAX_COUNT
+    limit = (upto - end) // len(cycle)
+    if not limit or not data.startswith(cycle, end):
+        return 0
+    return _repeats(data, cycle, end, 1, limit)
+
+
+def _repeats(data: bytes, unit: bytes, q: int, present: int, limit: int) -> int:
+    """The most copies of ``unit``, at most ``limit``, that ``data`` holds from ``q`` on.
+
+    ``present`` copies are known to be there.
+    """
     if data.startswith(unit * limit, q):
         return limit
-    present, absent = least, limit  # repeats known present, and known absent
+    absent = limit
     while absent - present > 1:
         mid = (present + absent) // 2
         if data.startswith(unit * mid, q):
@@ -377,7 +430,9 @@ def _delta_encode(
     """Entry columns for the serializable runs of ``order``, plus the ids left ``behind``.
 
     The columns (``deltas``, ``chs``, ``counts``) hold each entry's bytes
-    as the archive stores them, deltas in two's complement.
+    as the archive stores them, deltas in two's complement.  ``base`` is
+    the reference's start circle and ``reach`` its start + count, as in
+    :mod:`ccz.container`; a rebase moves ``base`` and lifts ``reach`` to it.
 
     Rebases only move the base forward, so a start more than 128 circles
     behind it cannot be serialized.  Such a run never updates the reference
@@ -386,27 +441,30 @@ def _delta_encode(
     rare: 5 to 10 of the benchmark's 1,000 short mixed inputs and some
     256 KiB inputs, all periodic with defects, have one.
     """
-    ctx = DeltaContext()
+    base = reach = 0
     deltas, chs, counts = bytearray(), bytearray(), bytearray()
     behind: list[int] = []
     for r in order:
         first_circle = start[r]
-        delta = first_circle - ctx.base
+        delta = first_circle - base
         if delta > DELTA_MAX:
-            while ctx.base < first_circle - 1:
-                hop = min(REBASE_MAX, first_circle - 1 - ctx.base)
+            while base < first_circle - 1:
+                hop = min(REBASE_MAX, first_circle - 1 - base)
                 deltas.append(hop)
                 chs.append(0)
                 counts.append(0)
-                ctx.advance(hop)
+                base += hop
+            reach = max(reach, base)
             delta = 1
         elif delta < DELTA_MIN:
             behind.append(r)
             continue
         deltas.append(delta & 0xFF)
         chs.append(ch[r])
-        counts.append(count[r])
-        ctx.observe(first_circle, count[r])
+        n = count[r]
+        counts.append(n)
+        if first_circle + n > reach:
+            base, reach = first_circle, first_circle + n
     return (deltas, chs, counts), behind
 
 
@@ -437,7 +495,9 @@ def _prune(
 ) -> tuple[list[int], list[int]]:
     """The fixpoint of :func:`remove_redundant_entries` on run ids: (kept, removed).
 
-    ``base`` and ``reach`` track the reference as :class:`DeltaContext` does.
+    ``base`` and ``reach`` track the reference as :func:`_delta_encode`
+    does.  A pass removes only count-2 runs, so once a pass keeps none, or
+    removes nothing, the next would change nothing.
     """
     surviving = list(order)
     removed: list[int] = []
@@ -459,6 +519,7 @@ def _prune(
                 base, reach = start[r], end
             kept.append(r)
         surviving = kept
+        changed = changed and 2 in map(count.__getitem__, kept)
     return surviving, removed
 
 

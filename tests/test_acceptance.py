@@ -182,6 +182,7 @@ def test_archive_bytes_are_pinned(pipeline):
     The corpus digest covers every archive, each prefixed by its 4-byte
     big-endian length.  64 KiB of zeros is one circle per byte; the
     periodic input runs thousands of circles into the 127-circle cap; the
+    defect-free unit and the 16,257 zeros go round whole cap cycles; the
     nested input orders its runs deeper than Python's recursion limit; the
     steady-edges input stops copies of repeated circles in every way.
     """
@@ -193,6 +194,16 @@ def test_archive_bytes_are_pinned(pipeline):
     zeros = serialize(encode(bytes(65536)))
     assert hashlib.sha256(zeros).hexdigest() == (
         "6d33869cc4811d4d04e0be11e85c6cd3adee0698ea2e50bc8a35df23b66afbda"
+    )
+    # Whole 127-circle cap cycles, copied in one step: a defect-free 7-byte
+    # unit, and zeros that end one byte into a cycle.
+    unit = serialize(encode((b"ABCDEFG" * 9363)[:65536]))
+    assert hashlib.sha256(unit).hexdigest() == (
+        "2286d635e56ab4523267685c8f92b1fdc174c78345d0e403bf221b18a9b26f87"
+    )
+    cycles = serialize(encode(bytes(16257)))
+    assert hashlib.sha256(cycles).hexdigest() == (
+        "92ba3249b27fade6c699dea29d1bdbddff3342794adec8e7272285973b4e4f3c"
     )
     periodic = serialize(encode(_periodic_with_defects()))
     assert hashlib.sha256(periodic).hexdigest() == (

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ccz
+import ccz.encoder as encoder_module
 from ccz import compress
 from ccz.circles import split_circles
 from ccz.container import CompressedEntry, serialize
@@ -269,10 +270,13 @@ def _split_inputs():
         "steady_edges": (edges, edges.index(bytes(300))),  # zeros after 'ABCDEFG'
         "zeros": (bytes(5000), 2000),
         "periodic": (bytes(periodic), 3500),
+        # Cap cycles of 7 * 127 bytes from offset 889 on; the cut is 60
+        # circles and 3 bytes into the fifth.
+        "unit": (b"ABCDEFG" * 2000, 7 * 127 * 5 + 7 * 60 + 3),
     }
 
 
-@pytest.mark.parametrize("name", ["steady_edges", "zeros", "periodic"])
+@pytest.mark.parametrize("name", ["steady_edges", "zeros", "periodic", "unit"])
 def test_feed_prefix_splits_change_nothing(name):
     # A copy of repeated circles stops at upto, so every cut hands the state
     # over at a different point of a copy.  A state fed one byte at a time
@@ -316,6 +320,49 @@ def test_scan_circles_match_split_circles(data, draw):
         assert state.ps == (starts[-2] if len(starts) > 1 else 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 255), min_size=1, max_size=16, unique=True).map(bytes),
+    st.integers(1, 3000),
+    st.binary(max_size=40),
+    st.binary(max_size=40),
+    st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), max_size=2),
+    st.data(),
+)
+def test_cap_cycles_roll_over_as_the_byte_loop(unit, repeats, prefix, suffix, defects, draw):
+    # A step shorter than one cap cycle (127 circles of the unit) never rolls
+    # a cycle over in one step, so stepping stands for the byte loop.
+    data = bytearray(prefix + unit * repeats + suffix)
+    for at, byte in defects:
+        data[int(at * len(data))] = byte
+    data = bytes(data)
+    whole = EncoderState(data)
+    whole.run()
+    stepped = EncoderState(data)
+    fed = 0
+    while fed < len(data):
+        fed = min(fed + draw.draw(st.integers(1, 127 * len(unit) - 1)), len(data))
+        stepped.feed_prefix(fed)
+    assert bytes(whole.flags) == bytes(stepped.flags)
+    assert _run_tuples(whole) == _run_tuples(stepped)
+    assert _snapshot(whole) == _snapshot(stepped)
+
+
+def test_zeros_roll_cap_cycles_over_in_one_step(monkeypatch):
+    # 64 KiB of zeros is 516 cap cycles; the byte loop would look for
+    # repeated circles twice in each.
+    calls = []
+    steady = encoder_module._steady_repeats
+
+    def counted(data, q, *rest):
+        calls.append(q)
+        return steady(data, q, *rest)
+
+    monkeypatch.setattr(encoder_module, "_steady_repeats", counted)
+    EncoderState(bytes(65536)).run()
+    assert len(calls) <= 8
+
+
 def _snapshot(state):
     def runs(ids):
         return [
@@ -326,6 +373,7 @@ def _snapshot(state):
     return (
         state.circle, state.cursor, state.occ, state.prev_occ, state.active_occ,
         state.matched_occ, runs(state.active), runs(state.matched), bytes(state.flags),
+        state.chains,
     )
 
 
