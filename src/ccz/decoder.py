@@ -26,7 +26,7 @@ it; one walk over them resolves the deltas into ``ch``, ``start`` and
 and no record is built per entry.  An entry is its index into these
 columns, so the live list, the entries not yet live and the circles where
 the list changes are all lists of ints.  :func:`undo_delta` runs the same
-walk over a list of records.  Three facts keep the work per circle small:
+walk over a list of records.  Four facts keep the work per circle small:
 
 * A 256-slot stamp list, ``stamp[b] == circle``, records the bytes the
   current circle holds, so opening a circle allocates nothing.
@@ -42,10 +42,25 @@ walk over a list of records.  Three facts keep the work per circle small:
   order.  These circles are copied as one repeated string, up to the next
   change or 0 flag.  The circle before used the same entries and passed
   the byte-by-byte duplicate check, so the copied bytes are distinct.
+* Whole windows roll over in one step.  The encoder ends the runs of a
+  repeated unit at the count cap together, and the runs of the next cap
+  cycle follow them in serialized order with the same bytes.  So at a
+  change circle that directly follows a bulk copy, where every live entry
+  ends, window 1 (the next k entries in id order), window 2 (the k after
+  them) and so on may each be the live list up to their end.  Window w
+  qualifies when its entries hold the live list's bytes in the same order,
+  each starts where the entry k ids before it ends, all end at one circle,
+  and no other pending entry starts before that end.  Every circle up to
+  the last qualifying window's end then has the live bytes of the circle
+  just copied, so it is one steady stretch: the live list moves to the
+  last window, the windows' entries leave ``pending`` as a block, and the
+  steady copy runs up to the first 0 flag, past which the byte loop goes
+  on with the same bytes.  No byte of a rolled window needs the duplicate
+  check: they are the bytes of the circle just copied, which are distinct
+  by the fact above.
 """
 
-from itertools import islice
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .container import REBASE_MAX, CompressedEntry, _entry_deltas, _read_archive
 
@@ -103,6 +118,61 @@ def undo_delta(entries: list[CompressedEntry]) -> list[LiveEntry]:
     return [LiveEntry(c, first, last - first) for c, first, last in zip(ch, start, end)]
 
 
+def _windows(
+    ch: list[int], start: list[int], end: list[int], ids: list[int], circle: int,
+    pending: list[int],
+) -> int:
+    """How many whole windows of the live entries' bytes follow from ``circle`` on.
+
+    ``ids`` are the live entries of the circle before ``circle``; they must
+    all end at ``circle``.  Window 0 is ``ids``; window w holds the k entries
+    after window w-1 in id order, with the same bytes, each starting where
+    the entry k ids before it ends, and all ending at one circle.  A window
+    counts only when no other pending entry starts before its end (see the
+    module docstring).  0 means the live list is rebuilt as at any change.
+    """
+    k = len(ids)
+    a = ids[0]
+    b = a + k
+    # Entries a..b-1 that end at ``circle`` were live in the circle before,
+    # so they are exactly ``ids``.
+    if end[a:b] != [circle] * k:
+        return 0
+
+    def fits(m: int) -> bool:
+        stop = b + m * k
+        if ch[b:stop] != ch[a:stop - k] or start[b:stop] != end[a:stop - k]:
+            return False
+        ends = end[b:stop:k]
+        if any(end[i:stop:k] != ends for i in range(b + 1, b + k)):
+            return False
+        last = ends[-1]
+        # The window entries are pending; nothing else may start before ``last``.
+        return len(pending) == m * k or start[pending[-m * k - 1]] >= last
+
+    # Past the last entry the slices differ in length, so the search stops.
+    present, probe = 0, 1
+    while fits(probe):
+        present, probe = probe, 2 * probe
+    absent = probe
+    while absent - present > 1:
+        mid = (present + absent) // 2
+        if fits(mid):
+            present = mid
+        else:
+            absent = mid
+    return present
+
+
+def _skip_to(it: Iterator[int], pos: int) -> None:
+    """Move the flag iterator ``it`` to flag ``pos`` in one step.
+
+    A bytearray iterator's pickling hook sets its index directly, so the
+    flags that a bulk copy covers are not stepped over one at a time.
+    """
+    it.__setstate__(pos)
+
+
 def decode(archive: bytes) -> bytes:
     """Decompress an archive back to the exact original bytes."""
     flags, literals, deltas, chs, counts = _read_archive(archive)
@@ -140,6 +210,7 @@ def decode(archive: bytes) -> bytes:
     if n and flags[0] and not k:  # the loop would leave circle 1 empty
         raise CorruptArchiveError("flagged position 0 has no admissible entry")
     ptr = 0
+    copied = 0  # the circle after the last bulk copy
     it = iter(flags)
 
     for flag in it:
@@ -172,8 +243,24 @@ def decode(archive: bytes) -> bytes:
         ptr = 0
         steady = circle != change_at
         if not steady:
-            ids = live_at(circle, ids)
-            k = len(ids)
+            m = (
+                circle == copied and flag and end[ids[0]] == circle
+                and _windows(ch, start, end, ids, circle, pending)
+            )
+            if m:
+                # Roll whole windows over (see the module docstring).  Their
+                # circles all hold the live list's bytes, so the list moves to
+                # the last window, whose end is the next change, and the steady
+                # copy below covers them all.  The changes before that end are
+                # each window's starts and the ends of the entries k ids before.
+                first = ids[-1] + 1 + (m - 1) * k
+                ids = list(range(first, first + k))
+                del pending[-m * k:]
+                del changes[-2 * m * k:]
+                steady = True
+            else:
+                ids = live_at(circle, ids)
+                k = len(ids)
             change_at = changes[-1]
         if flag:
             if not k:
@@ -191,7 +278,8 @@ def decode(archive: bytes) -> bytes:
                     for value in chars:
                         stamp[value] = circle
                     ptr = k
-                    next(islice(it, reps * k - 1, reps * k - 1), None)  # skip the copied flags
+                    copied = circle + 1
+                    _skip_to(it, len(out))
                     continue
             value = ch[ids[0]]
             ptr = 1

@@ -582,7 +582,8 @@ def _encode_pipeline(data: bytes) -> tuple[
     for r in behind:
         for off in state.view(r).occurrences:
             flags[off] = 0
-    literals = bytes(compress(data, flags.translate(_INVERT)))
+    # Positional inputs often flag every byte; then there is nothing to select.
+    literals = bytes(compress(data, flags.translate(_INVERT))) if 0 in flags else b""
     return flags, literals, columns, state, found, pruned, behind
 
 

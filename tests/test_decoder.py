@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ccz.decoder as decoder_module
 from ccz import compress, decompress
 from ccz.container import CompressedEntry, EncodedParts, serialize
 from ccz.decoder import CorruptArchiveError, decode, undo_delta
-from ccz.encoder import encode
+from ccz.encoder import RunNode, delta_encode_entries, encode
 
 from oracles import (
     chain_circles,
@@ -62,8 +63,6 @@ def runs_strategy():
 
 @given(runs_strategy())
 def test_delta_composition_law(runs):
-    from ccz.encoder import RunNode, delta_encode_entries
-
     nodes = [RunNode(ch, start, count, list(range(count))) for ch, start, count in runs]
     live = undo_delta(delta_encode_entries(nodes))
     assert [(e.ch, e.start, e.count) for e in live] == runs
@@ -202,3 +201,94 @@ def test_decode_circles_match_input_segmentation(data):
         for circle, offset in occ.items():
             start, length = seg.span(circle)
             assert start <= offset < start + length
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 255), min_size=1, max_size=16, unique=True).map(bytes),
+    st.integers(1, 6),
+    st.integers(-5, 5),
+    st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 15)), max_size=3),
+)
+def test_windows_roll_over_as_the_reference_decoder(unit, windows, extra, defects):
+    # Whole windows of 127 circles of the unit; in-unit defects break some
+    # windows' bytes or split their entries' end circles.
+    data = bytearray(unit * (127 * windows + extra))
+    for at, i in defects:
+        data[int(at * len(data))] = unit[i % len(unit)]
+    archive = compress(bytes(data))
+    assert decode(archive) == ref_decode(archive)[0] == data
+
+
+def _hand_built(runs, literals=()):
+    """An archive of ``runs`` (ch, start, count) in serialized order.
+
+    Every flag is 1 except one 0 flag per (offset, byte) of ``literals``.
+    """
+    flags = bytearray([1]) * (sum(count for _, _, count in runs) + len(literals))
+    for offset, _ in literals:
+        flags[offset] = 0
+    entries = delta_encode_entries(RunNode(ch, start, count) for ch, start, count in runs)
+    return serialize(EncodedParts(flags, bytes(byte for _, byte in sorted(literals)), entries))
+
+
+def _three_windows():
+    return [(c, 1 + 127 * w, 127) for w in range(3) for c in b"ABC"]
+
+
+def test_three_window_archive_is_what_the_encoder_writes():
+    assert _hand_built(_three_windows()) == compress(b"ABC" * 381)
+
+
+def _window_variants():
+    A, B, C, Z = b"ABCZ"
+    base = _three_windows()
+
+    def with_runs(**changed):
+        return [changed.get(f"r{i}", run) for i, run in enumerate(base)]
+
+    return {
+        "byte": (with_runs(r4=(Z, 128, 127)), ()),
+        "duplicate byte": (with_runs(r4=(C, 128, 127)), ()),
+        "short count": (with_runs(r3=(A, 128, 126)), ()),
+        "count moved to the next window": (with_runs(r3=(A, 128, 126), r6=(A, 254, 127)), ()),
+        "overlapping count": (with_runs(r6=(A, 254, 127)), ()),
+        "late start": (with_runs(r5=(C, 129, 126)), ()),
+        "staggered first window": (with_runs(r2=(C, 2, 127), r5=(C, 129, 126)), ()),
+        "new literal": (base, [(3 * 200 + 1, Z)]),
+        "literal repeats the circle": (base, [(3 * 200 + 3, A)]),
+        "literal duplicates an entry": (base, [(3 * 200 + 1, B)]),
+        "entry inside the span, last": (base + [(Z, 200, 2)], ()),
+        "entry inside the span, between windows": (base[:6] + [(Z, 200, 2)] + base[6:], ()),
+        "entry duplicates inside the span": (base + [(A, 200, 2)], ()),
+        "entry at the window line": (base[:6] + [(Z, 255, 2)] + base[6:], ()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_window_variants()))
+def test_roll_over_stops_where_a_window_changes(name):
+    runs, literals = _window_variants()[name]
+    archive = _hand_built(runs, literals)
+    try:
+        expected = ref_decode(archive)[0]
+    except AssertionError:
+        with pytest.raises(CorruptArchiveError):
+            decode(archive)
+    else:
+        assert decode(archive) == expected
+
+
+@pytest.mark.parametrize("data", [bytes(262144), b"ABCDEFG" * 9363], ids=["zeros", "unit"])
+def test_windows_roll_over_in_one_step(monkeypatch, data):
+    # Both inputs are 127-circle windows of count-127 entries: 2,065 and 74
+    # windows, each one bulk copy when decoded window by window.
+    copies = []
+    skip_to = decoder_module._skip_to
+
+    def counted(it, pos):
+        copies.append(pos)
+        skip_to(it, pos)
+
+    monkeypatch.setattr(decoder_module, "_skip_to", counted)
+    assert decode(compress(data)) == data
+    assert len(copies) <= 8
