@@ -45,9 +45,7 @@ def compress(data: bytes) -> bytes:
     return _write_archive(flags, literals, *columns)
 
 
-def decompress(archive: bytes) -> bytes:
-    """Restore the exact original bytes from an archive."""
-    return decode(archive)
+decompress = decode
 
 
 __all__ = [

@@ -71,16 +71,12 @@ def _inspect_plain(data: bytes) -> int:
     seg = split_circles(data)
     trace = trace_encode(data)
     print(f"circles ({seg.circle_count}): {[bytes(c) for c in seg.circles(data)]}")
-    for run in trace.runs:
-        print(
-            f"run: ch={run.ch:#04x} '{_printable(run.ch)}' start={run.start}"
-            f" count={run.count} offsets={list(run.occurrences)}"
-        )
-    for run in trace.removed:
-        print(
-            f"removed: ch={run.ch:#04x} '{_printable(run.ch)}' start={run.start}"
-            f" count={run.count} offsets={list(run.occurrences)}"
-        )
+    for kind, runs in (("run", trace.runs), ("removed", trace.removed)):
+        for run in runs:
+            print(
+                f"{kind}: ch={run.ch:#04x} '{_printable(run.ch)}' start={run.start}"
+                f" count={run.count} offsets={list(run.occurrences)}"
+            )
     print(f"archive would be {len(serialize(trace.parts))} bytes for {len(data)} input bytes")
     return 0
 

@@ -60,6 +60,7 @@ walk over a list of records.  Four facts keep the work per circle small:
   by the fact above.
 """
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple
 
 from .container import REBASE_MAX, CompressedEntry, _entry_deltas, _read_archive
@@ -130,6 +131,12 @@ def _windows(
     the entry k ids before it ends, and all ending at one circle.  A window
     counts only when no other pending entry starts before its end (see the
     module docstring).  0 means the live list is rebuilt as at any change.
+
+    If the first m windows qualify, so do the first m - 1, so the count is
+    found by search: a gallop doubles m while all m windows qualify, which
+    settles a dense change circle that rolls nothing over in one probe, and
+    ``bisect_left`` then finds the first failing m between the last success
+    and the first failure.
     """
     k = len(ids)
     a = ids[0]
@@ -154,14 +161,7 @@ def _windows(
     present, probe = 0, 1
     while fits(probe):
         present, probe = probe, 2 * probe
-    absent = probe
-    while absent - present > 1:
-        mid = (present + absent) // 2
-        if fits(mid):
-            present = mid
-        else:
-            absent = mid
-    return present
+    return present + bisect_left(range(present + 1, probe), True, key=lambda m: not fits(m))
 
 
 def _skip_to(it: Iterator[int], pos: int) -> None:

@@ -131,11 +131,6 @@ class RunNode(NamedTuple):
     count: int = 2
     occurrences: tuple[int, ...] = ()
 
-    @property
-    def last(self) -> int:
-        """Index of the outermost circle this run covers."""
-        return self.start + self.count - 1
-
 
 @dataclass(frozen=True)
 class EncodeTrace:
@@ -156,12 +151,10 @@ class EncoderState:
     ``circle`` is the 1-based index of the circle being scanned, ``cs``
     its start offset and ``ps`` that of the previous circle (equal to
     ``cs`` in circle 1); ``where[b]`` is the latest offset of byte ``b``
-    scanned, -1 for none.  ``occ`` and ``prev_occ`` map the bytes of the
-    current and the previous circle to their offsets, built on each read.
-    ``active`` lists the ids of the runs covering the previous circle in
-    theta order, ``active_occ`` their offsets there, and ``cursor`` is the
-    index in ``active`` of the last run matched or created in the current
-    circle, -1 at every circle start.
+    scanned, -1 for none.  ``active`` lists the ids of the runs covering
+    the previous circle in theta order, ``active_occ`` their offsets there,
+    and ``cursor`` is the index in ``active`` of the last run matched or
+    created in the current circle, -1 at every circle start.
     Runs matched in the current circle and their offsets collect in
     ``matched`` and ``matched_occ``, which become ``active`` and
     ``active_occ`` when the next circle opens.
@@ -187,16 +180,6 @@ class EncoderState:
         self.matched_occ: list[int] = []
         self.cursor = -1
         self._pos = 0                        # next offset to process
-
-    @property
-    def occ(self) -> dict[int, int]:
-        """Each byte of the current circle mapped to its offset (a new dict)."""
-        return dict(zip(self.data[self.cs:self._pos], range(self.cs, self._pos)))
-
-    @property
-    def prev_occ(self) -> dict[int, int]:
-        """Each byte of the previous circle mapped to its offset (a new dict)."""
-        return dict(zip(self.data[self.ps:self.cs], range(self.ps, self.cs)))
 
     def run(self) -> None:
         self.feed_prefix(len(self.data))
@@ -353,7 +336,7 @@ def _steady_repeats(
         return 0
     limit = min(MAX_COUNT - max(map(count.__getitem__, active)), (upto - q) // size)
     if limit <= least:
-        return max(limit, 0)
+        return limit
     return _repeats(data, unit, q, least, limit)
 
 
@@ -373,14 +356,9 @@ def _repeats(data: bytes, unit: bytes, q: int, present: int, limit: int) -> int:
     """
     if data.startswith(unit * limit, q):
         return limit
-    absent = limit
-    while absent - present > 1:
-        mid = (present + absent) // 2
-        if data.startswith(unit * mid, q):
-            present = mid
-        else:
-            absent = mid
-    return present
+    return present + bisect_left(
+        range(present + 1, limit), True, key=lambda m: not data.startswith(unit * m, q)
+    )
 
 
 def paradox_check(state: EncoderState, c: int) -> bool:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ccz.decoder as decoder_module
 from ccz import compress, decompress
-from ccz.container import CompressedEntry, EncodedParts, serialize
+from ccz.container import CompressedEntry, EncodedParts, parse, serialize
 from ccz.decoder import CorruptArchiveError, decode, undo_delta
 from ccz.encoder import RunNode, delta_encode_entries, encode
 
@@ -292,3 +292,29 @@ def test_windows_roll_over_in_one_step(monkeypatch, data):
     monkeypatch.setattr(decoder_module, "_skip_to", counted)
     assert decode(compress(data)) == data
     assert len(copies) <= 8
+
+
+def _window_inputs():
+    zeros = [bytes(n) for n in (1, 127, 128, 254, 255, 381, 127 * 9 - 1, 127 * 9 + 2, 65536)]
+    reps = [127 * m + e for m in (1, 2, 3, 5, 8) for e in (-1, 0, 1, 2)]
+    return zeros + [bytes(range(65, 65 + k)) * r for k in range(1, 17) for r in reps]
+
+
+def test_windows_count_every_window_but_the_live_one(monkeypatch):
+    # A roll-over one window short decodes the same bytes (the byte loop
+    # finishes it), so only the count that _windows returns shows it.
+    counts = []
+    windows = decoder_module._windows
+
+    def recorded(*args):
+        counts.append(windows(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(decoder_module, "_windows", recorded)
+    for data in _window_inputs():
+        k = len(set(data))  # the unit's bytes: one entry per byte and window
+        archive = compress(data)
+        entries = len(parse(archive).entries)
+        counts.clear()
+        assert decode(archive) == data
+        assert counts == ([entries // k - 1] if entries >= 2 * k else []), (k, len(data))

@@ -363,6 +363,19 @@ def test_zeros_roll_cap_cycles_over_in_one_step(monkeypatch):
     assert len(calls) <= 8
 
 
+@pytest.mark.parametrize("unit", [b"A", b"AB", b"ABC"])
+def test_repeats_finds_every_count_below_the_limit(unit):
+    # The search in _repeats over every known lower bound and every limit,
+    # with the unit broken at each of its bytes and repeated after the break.
+    for actual in range(41):
+        for cut in range(len(unit)):
+            data = b"xy" + unit * actual + unit[:cut] + b"Z" + unit * 50
+            for limit in range(46):
+                expected = min(actual, limit)
+                for present in range(expected + 1):
+                    assert encoder_module._repeats(data, unit, 2, present, limit) == expected
+
+
 def _snapshot(state):
     def runs(ids):
         return [
@@ -371,7 +384,7 @@ def _snapshot(state):
         ]
 
     return (
-        state.circle, state.cursor, state.occ, state.prev_occ, state.active_occ,
+        state.circle, state.cursor, state.ps, state.cs, state._pos, state.active_occ,
         state.matched_occ, runs(state.active), runs(state.matched), bytes(state.flags),
         state.chains,
     )
