@@ -58,7 +58,10 @@ k repeats extend every run by k circles, in the same order, which is done
 at once (each count grows by k and each ``last`` by k circle sizes, and
 ``where``, ``ps`` and ``cs`` move to the last two repeats), up to the
 first of the count cap, ``upto`` and a changed byte; the byte loop takes
-over from there.  Only stretches of at least
+over from there.  It resumes after the copy by moving its bytes iterator
+there in one step, through the iterator's pickling hook (``__setstate__``),
+as the decoder moves its flag iterator, so the copied bytes are not
+stepped over one at a time.  Only stretches of at least
 ``2 + 16 // size`` repeats are copied, so inputs without them pay one
 ``startswith`` per fully matched circle.
 
@@ -96,7 +99,7 @@ list of :class:`RunNode` out the same way and call the same code.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .container import (
@@ -195,93 +198,101 @@ class EncoderState:
         active, active_occ = self.active, self.active_occ
         matched, matched_occ = self.matched, self.matched_occ
         # Circle 1 needs no case of its own: ps == cs leaves no previous circle.
-        it = enumerate(data[self._pos:upto], self._pos)
-        for q, c in it:
-            p = where[c]
-            if p >= cs:
-                circle += 1
-                ps, cs, cursor = cs, q, -1
-                active, active_occ, matched, matched_occ = matched, matched_occ, [], []
-                size = q - ps
-                reps = len(active) == size and _steady_repeats(data, q, size, active, count, upto)
-                if reps:
-                    # Every run of the previous circle extends once per repeat,
-                    # in order; leave the state the byte loop would leave.
-                    span = reps * size
-                    for r in active:
-                        count[r] += reps
-                        last[r] += span
-                    circle += reps - 1
-                    end = q + span
-                    full = min(map(count.__getitem__, active)) == MAX_COUNT and _cycles(
-                        data, end, size, upto
+        # A bulk copy sets resume to its end and breaks out; the byte loop
+        # restarts there, its iterator moved past the copied bytes in one step.
+        pos = resume = self._pos
+        todo = iter(data[pos:upto])
+        while resume < upto:
+            todo.__setstate__(resume - pos)
+            it, resume = enumerate(todo, resume), upto
+            for q, c in it:
+                p = where[c]
+                if p >= cs:
+                    circle += 1
+                    ps, cs, cursor = cs, q, -1
+                    active, active_occ, matched, matched_occ = matched, matched_occ, [], []
+                    size = q - ps
+                    reps = len(active) == size and _steady_repeats(
+                        data, q, size, active, count, upto
                     )
-                    if full:
-                        # Whole cap cycles: in each, every byte of the unit
-                        # starts a run at the tail that is copied to the cap
-                        # (see the module docstring).
-                        unit, cycle, n = data[q - size:q], MAX_COUNT * size, len(run_ch)
-                        firsts = [end + cycle * j + i for j in range(full) for i in range(size)]
-                        run_ch += unit * full
-                        start += [circle + 1 + MAX_COUNT * j for j in range(full) for _ in unit]
-                        count += [MAX_COUNT] * len(firsts)
-                        first += firsts
-                        last += [f + cycle - size for f in firsts]
-                        prev.append(last_run)
-                        prev += range(n, n + len(firsts) - 1)
-                        last_run = len(run_ch) - 1
-                        active = list(range(last_run + 1 - size, last_run + 1))
-                        for b, r in zip(unit, active):
-                            chains[b] = r
-                        circle += full * MAX_COUNT
-                        span += full * cycle
-                        end += full * cycle
-                    flags[q:end] = b"\x01" * span
-                    ps, cs = end - 2 * size, end - size
-                    for off, b in enumerate(data[cs:end], cs):
-                        where[b] = off
-                    active_occ = list(range(ps, cs))
-                    matched, matched_occ = active.copy(), list(range(cs, end))
-                    cursor = size - 1
-                    next(islice(it, span - 1, span - 1), None)
+                    if reps:
+                        # Every run of the previous circle extends once per repeat,
+                        # in order; leave the state the byte loop would leave.
+                        span = reps * size
+                        for r in active:
+                            count[r] += reps
+                            last[r] += span
+                        circle += reps - 1
+                        end = q + span
+                        full = min(map(count.__getitem__, active)) == MAX_COUNT and _cycles(
+                            data, end, size, upto
+                        )
+                        if full:
+                            # Whole cap cycles: in each, every byte of the unit
+                            # starts a run at the tail that is copied to the cap
+                            # (see the module docstring).
+                            unit, cycle, n = data[q - size:q], MAX_COUNT * size, len(run_ch)
+                            firsts = [end + cycle * j + i for j in range(full) for i in range(size)]
+                            run_ch += unit * full
+                            start += [circle + 1 + MAX_COUNT * j for j in range(full) for _ in unit]
+                            count += [MAX_COUNT] * len(firsts)
+                            first += firsts
+                            last += [f + cycle - size for f in firsts]
+                            prev.append(last_run)
+                            prev += range(n, n + len(firsts) - 1)
+                            last_run = len(run_ch) - 1
+                            active = list(range(last_run + 1 - size, last_run + 1))
+                            for b, r in zip(unit, active):
+                                chains[b] = r
+                            circle += full * MAX_COUNT
+                            span += full * cycle
+                            end += full * cycle
+                        flags[q:end] = b"\x01" * span
+                        ps, cs = end - 2 * size, end - size
+                        for off, b in enumerate(data[cs:end], cs):
+                            where[b] = off
+                        active_occ = list(range(ps, cs))
+                        matched, matched_occ = active.copy(), list(range(cs, end))
+                        cursor = size - 1
+                        resume = end
+                        break
+                where[c] = q
+                if p < ps:
                     continue
-            where[c] = q
-            if p < ps:
-                continue
-            r = chains[c]
-            # A run of c ends at the previous circle exactly when it holds c's offset there.
-            if r >= 0 and last[r] == p and count[r] < MAX_COUNT:
-                idx = bisect_left(active_occ, p)
-                if idx <= cursor:
+                r = chains[c]
+                # A run of c ends at the previous circle exactly when it holds c's offset there.
+                if r >= 0 and last[r] == p and count[r] < MAX_COUNT:
+                    idx = bisect_left(active_occ, p)
+                    if idx <= cursor:
+                        continue
+                    count[r] += 1
+                    last[r] = q
+                elif flags[p]:
                     continue
-                count[r] += 1
-                last[r] = q
-            elif flags[p]:
-                continue
-            else:
-                idx = bisect_right(active_occ, p)
-                if idx <= cursor:
-                    continue
-                r = chains[c] = len(run_ch)
-                run_ch.append(c)
-                start.append(circle - 1)
-                count.append(2)
-                first.append(p)
-                last.append(q)
-                if idx == len(active):
-                    prev.append(last_run)
-                    last_run = r
                 else:
-                    succ = active[idx]
-                    prev.append(prev[succ])
-                    prev[succ] = r
-                active.insert(idx, r)
-                active_occ.insert(idx, p)
-                flags[p] = 1
-            flags[q] = 1
-            cursor = idx
-            matched.append(r)
-            matched_occ.append(q)
+                    idx = bisect_right(active_occ, p)
+                    if idx <= cursor:
+                        continue
+                    r = chains[c] = len(run_ch)
+                    run_ch.append(c)
+                    start.append(circle - 1)
+                    count.append(2)
+                    first.append(p)
+                    last.append(q)
+                    if idx == len(active):
+                        prev.append(last_run)
+                        last_run = r
+                    else:
+                        succ = active[idx]
+                        prev.append(prev[succ])
+                        prev[succ] = r
+                    active.insert(idx, r)
+                    active_occ.insert(idx, p)
+                    flags[p] = 1
+                flags[q] = 1
+                cursor = idx
+                matched.append(r)
+                matched_occ.append(q)
         self._pos = max(self._pos, upto)
         # Open a circle that starts at upto, as the loop would on its first byte.
         if self._pos < len(data) and where[data[self._pos]] >= cs:

@@ -260,19 +260,25 @@ class TestParadoxCheck:
 
 
 def _split_inputs():
-    """Each input with a cut right after a copy of repeated circles that a new byte extends."""
+    """Each input with three cuts: right after a copy of repeated circles that a
+    new byte extends, at the end of a copy that ``upto`` stops (a state fed
+    only that far has nothing left to scan after the copy), and one byte past
+    that end.
+    """
     periodic = bytearray(b"ABCDEFG" * 1200)
     for k, byte in ((500, "C"), (2300, "Q"), (4100, "A"), (6001, "Z")):
         periodic[k] = ord(byte)  # in-unit and out-of-unit defects
     periodic[3500:3500] = b"Q"  # a new byte right after a whole repeat
     edges = _steady_edges()
     return {
-        "steady_edges": (edges, edges.index(bytes(300))),  # zeros after 'ABCDEFG'
-        "zeros": (bytes(5000), 2000),
-        "periodic": (bytes(periodic), 3500),
-        # Cap cycles of 7 * 127 bytes from offset 889 on; the cut is 60
+        # Zeros after 'ABCDEFG'; 256-byte circles copied from offset 512.
+        "steady_edges": (edges, (edges.index(bytes(300)), 256 * 50, 256 * 50 + 1)),
+        "zeros": (bytes(5000), (2000, 100, 101)),  # copied from offset 2
+        # 7-byte circles copied from offset 14 up to the defect at 500.
+        "periodic": (bytes(periodic), (3500, 7 * 50, 7 * 50 + 1)),
+        # Cap cycles of 7 * 127 bytes from offset 889 on; the first cut is 60
         # circles and 3 bytes into the fifth.
-        "unit": (b"ABCDEFG" * 2000, 7 * 127 * 5 + 7 * 60 + 3),
+        "unit": (b"ABCDEFG" * 2000, (7 * 127 * 5 + 7 * 60 + 3, 7 * 60, 7 * 60 + 1)),
     }
 
 
@@ -281,19 +287,23 @@ def test_feed_prefix_splits_change_nothing(name):
     # A copy of repeated circles stops at upto, so every cut hands the state
     # over at a different point of a copy.  A state fed one byte at a time
     # copies at most one one-byte circle per call: it stands for the byte loop.
-    data, after_copy = _split_inputs()[name]
+    data, cuts = _split_inputs()[name]
     whole = EncoderState(data)
     whole.run()
     rng = random.Random(f"splits-{name}")
     for _ in range(4):
         state, bytewise, fed = EncoderState(data), EncoderState(data), 0
-        for cut in sorted(rng.sample(range(1, len(data)), 6) + [after_copy]):
+        for cut in sorted(rng.sample(range(1, len(data)), 6) + list(cuts)):
             state.feed_prefix(cut)
             for fed in range(fed + 1, cut + 1):
                 bytewise.feed_prefix(fed)
             once = EncoderState(data)
             once.feed_prefix(cut)
             assert _snapshot(state) == _snapshot(once) == _snapshot(bytewise)
+            # Offsets already scanned are not scanned again.
+            for again in (cut, cut - 1):
+                once.feed_prefix(again)
+                assert _snapshot(once) == _snapshot(state)
             assert [paradox_check(state, c) for c in range(256)] == [
                 paradox_check(once, c) for c in range(256)
             ]
@@ -361,6 +371,23 @@ def test_zeros_roll_cap_cycles_over_in_one_step(monkeypatch):
     monkeypatch.setattr(encoder_module, "_steady_repeats", counted)
     EncoderState(bytes(65536)).run()
     assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("data", [bytes(262144), b"ABCDEFG" * 9363], ids=["zeros", "unit"])
+def test_bulk_copies_skip_their_bytes_in_one_step(monkeypatch, data):
+    # The byte loop resumes after a copy by moving its iterator, so it draws
+    # only the bytes before the first copy and a few per copy.  Stepping past
+    # the copied bytes would draw every byte, 262,144 on the zeros.
+    drawn = []
+
+    def counted(iterable, start=0):
+        for item in enumerate(iterable, start):
+            drawn.append(item[0])
+            yield item
+
+    monkeypatch.setattr(encoder_module, "enumerate", counted, raising=False)
+    EncoderState(data).run()
+    assert len(drawn) <= 256
 
 
 @pytest.mark.parametrize("unit", [b"A", b"AB", b"ABC"])
