@@ -44,6 +44,10 @@ _HEADER = struct.Struct("<4sBQQI")
 HEADER_SIZE = _HEADER.size  # 25
 
 MAX_COUNT = 127
+# Both coders copy repeated circles in one step only where the stretch
+# pays for the set-up: the encoder from 2 + _STEADY_BYTES // size repeats
+# on, the decoder when a steady stretch holds more than _STEADY_BYTES bytes.
+_STEADY_BYTES = 16
 DELTA_MIN = -128
 DELTA_MAX = 127
 REBASE_MAX = 255

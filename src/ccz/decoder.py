@@ -29,7 +29,11 @@ the list changes are all lists of ints.  :func:`undo_delta` runs the same
 walk over a list of records.  Four facts keep the work per circle small:
 
 * A 256-slot stamp list, ``stamp[b] == circle``, records the bytes the
-  current circle holds, so opening a circle allocates nothing.
+  current circle holds, so opening a circle allocates nothing.  Decoding
+  starts in an empty circle 0 whose stamps mark every byte, so the first
+  byte breaks it and circle 1 opens, with its live list built, as every
+  later circle does; a flagged first byte with no entry starting at
+  circle 1 fails there like any flag with no live entry.
 * Every live entry is used exactly once in each circle it spans, so at
   every circle break the cursor must have passed the whole live list; the
   entry it stopped at is reported unfilled.  Live entries therefore stay
@@ -42,6 +46,11 @@ walk over a list of records.  Four facts keep the work per circle small:
   order.  These circles are copied as one repeated string, up to the next
   change or 0 flag.  The circle before used the same entries and passed
   the byte-by-byte duplicate check, so the copied bytes are distinct.
+  The copy is tried only when the steady stretch up to the next change
+  holds more than ``_STEADY_BYTES`` bytes, the constant that also gates
+  the encoder's copy: finding the next 0 flag, building the repeated
+  string, restamping and moving the flag iterator cost more than the byte
+  loop spends on a few short circles, the common case on small alphabets.
 * Whole windows roll over in one step.  The encoder ends the runs of a
   repeated unit at the count cap together, and the runs of the next cap
   cycle follow them in serialized order with the same bytes.  So at a
@@ -63,7 +72,13 @@ walk over a list of records.  Four facts keep the work per circle small:
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple
 
-from .container import REBASE_MAX, CompressedEntry, _entry_deltas, _read_archive
+from .container import (
+    REBASE_MAX,
+    _STEADY_BYTES,
+    CompressedEntry,
+    _entry_deltas,
+    _read_archive,
+)
 
 
 class CorruptArchiveError(ValueError):
@@ -189,27 +204,14 @@ def decode(archive: bytes) -> bytes:
     changes.append(never)
     changes.sort(reverse=True)
 
-    def live_at(circle: int, before: list[int]) -> list[int]:
-        """The ids of the live entries of ``circle``, in serialized order."""
-        ids = [i for i in before if end[i] > circle]
-        if pending and start[pending[-1]] == circle:
-            while pending and start[pending[-1]] == circle:
-                ids.append(pending.pop())
-            ids.sort()
-        while changes[-1] <= circle:
-            changes.pop()
-        return ids
-
     out = bytearray()
-    stamp = [0] * 256  # stamp[b] == circle: b was emitted in this circle
+    # stamp[b] == circle: b was emitted in this circle.  Circle 0 holds every
+    # byte, so the first byte breaks it and opens circle 1 as any change does.
+    stamp = [0] * 256
     lit_pos = 0
-    circle = 1
-    ids = live_at(circle, [])
-    k = len(ids)
-    change_at = changes[-1]  # next circle whose live list differs
-    if n and flags[0] and not k:  # the loop would leave circle 1 empty
-        raise CorruptArchiveError("flagged position 0 has no admissible entry")
-    ptr = 0
+    circle = k = ptr = 0
+    ids: list[int] = []  # the live entries of ``circle``, in serialized order
+    change_at = 1  # next circle whose live list differs
     copied = 0  # the circle after the last bulk copy
     it = iter(flags)
 
@@ -259,13 +261,19 @@ def decode(archive: bytes) -> bytes:
                 del changes[-2 * m * k:]
                 steady = True
             else:
-                ids = live_at(circle, ids)
+                ids = [i for i in ids if end[i] > circle]
+                if pending and start[pending[-1]] == circle:
+                    while pending and start[pending[-1]] == circle:
+                        ids.append(pending.pop())
+                    ids.sort()
+                while changes[-1] <= circle:
+                    changes.pop()
                 k = len(ids)
             change_at = changes[-1]
         if flag:
             if not k:
                 raise CorruptArchiveError(f"flagged position {len(out)} has no admissible entry")
-            if steady and change_at - circle > 1:
+            if steady and (change_at - circle) * k > _STEADY_BYTES:
                 # Copy whole circles of the steady list (see the module docstring).
                 pos = len(out)
                 stop = min(pos + k * (change_at - circle), n)

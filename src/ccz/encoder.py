@@ -107,14 +107,11 @@ from .container import (
     DELTA_MIN,
     MAX_COUNT,
     REBASE_MAX,
+    _STEADY_BYTES,
     CompressedEntry,
     EncodedParts,
     _entry_records,
 )
-
-# Repeated circles are copied in one step only from 2 + _STEADY_BYTES // size
-# repeats on; see _steady_repeats.
-_STEADY_BYTES = 16
 
 # Flips 0/1 flags into literal selectors for itertools.compress.
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import ccz.decoder as decoder_module
 from ccz import compress, decompress
-from ccz.container import CompressedEntry, EncodedParts, parse, serialize
+from ccz.container import (
+    _STEADY_BYTES,
+    ArchiveFormatError,
+    CompressedEntry,
+    EncodedParts,
+    parse,
+    serialize,
+)
 from ccz.decoder import CorruptArchiveError, decode, undo_delta
 from ccz.encoder import RunNode, delta_encode_entries, encode
 
@@ -278,10 +285,8 @@ def test_roll_over_stops_where_a_window_changes(name):
         assert decode(archive) == expected
 
 
-@pytest.mark.parametrize("data", [bytes(262144), b"ABCDEFG" * 9363], ids=["zeros", "unit"])
-def test_windows_roll_over_in_one_step(monkeypatch, data):
-    # Both inputs are 127-circle windows of count-127 entries: 2,065 and 74
-    # windows, each one bulk copy when decoded window by window.
+def _counted_copies(monkeypatch):
+    """Record the flag position of every bulk copy ``decode`` makes."""
     copies = []
     skip_to = decoder_module._skip_to
 
@@ -290,6 +295,14 @@ def test_windows_roll_over_in_one_step(monkeypatch, data):
         skip_to(it, pos)
 
     monkeypatch.setattr(decoder_module, "_skip_to", counted)
+    return copies
+
+
+@pytest.mark.parametrize("data", [bytes(262144), b"ABCDEFG" * 9363], ids=["zeros", "unit"])
+def test_windows_roll_over_in_one_step(monkeypatch, data):
+    # Both inputs are 127-circle windows of count-127 entries: 2,065 and 74
+    # windows, each one bulk copy when decoded window by window.
+    copies = _counted_copies(monkeypatch)
     assert decode(compress(data)) == data
     assert len(copies) <= 8
 
@@ -318,3 +331,56 @@ def test_windows_count_every_window_but_the_live_one(monkeypatch):
         counts.clear()
         assert decode(archive) == data
         assert counts == ([entries // k - 1] if entries >= 2 * k else []), (k, len(data))
+
+
+def test_short_stretches_go_through_the_byte_loop(monkeypatch):
+    # A 4-letter alphabet steadies its live list for a few 1-4 byte circles
+    # at a time; copying those one by one made 2,674 bulk copies here.
+    data = bytes(random.Random(6).choices(b"ACGT", k=65536))
+    copies = _counted_copies(monkeypatch)
+    assert decode(compress(data)) == data
+    assert len(copies) <= 16
+
+
+@pytest.mark.parametrize("extra, copied", [(0, False), (1, True)], ids=["at", "past"])
+def test_steady_copy_needs_more_than_the_threshold(monkeypatch, extra, copied):
+    # Four entries live over circles 1..count: circle 1 builds the list, so
+    # the steady stretch from circle 2 holds (count - 1) * 4 bytes.
+    count = _STEADY_BYTES // 4 + 1 + extra
+    archive = _hand_built([(c, 1, count) for c in b"ACGT"])
+    copies = _counted_copies(monkeypatch)
+    assert decode(archive) == ref_decode(archive)[0] == b"ACGT" * count
+    assert bool(copies) == copied
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_short_circle_mutations_raise_only_codec_errors(choice):
+    """1-3 overwritten bytes in the archive of a 1-4 letter input.
+
+    Random and periodic inputs over small alphabets open a circle every few
+    bytes, so ``decode`` rebuilds its live list at most circles and copies
+    only the rare long steady stretches.
+    """
+    letters = st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True)
+    alphabet = bytes(choice.draw(letters))
+    length = choice.draw(st.integers(0, 2000))
+    rng = random.Random(choice.draw(st.integers(0, 2**32 - 1)))
+    if choice.draw(st.booleans()):
+        data = bytes(rng.choices(alphabet, k=length))
+    else:
+        data = bytearray(alphabet * length)[:length]
+        for _ in range(choice.draw(st.integers(0, 8)) if length else 0):
+            data[rng.randrange(length)] = rng.choice(alphabet)
+        data = bytes(data)
+    archive = compress(data)
+    assert decode(archive) == data
+    mutated = bytearray(archive)
+    for _ in range(choice.draw(st.integers(1, 3))):
+        mutated[choice.draw(st.integers(0, len(archive) - 1))] = choice.draw(st.integers(0, 255))
+    mutated = bytes(mutated)
+    try:
+        out = decode(mutated)
+    except (ArchiveFormatError, CorruptArchiveError):
+        return
+    assert ref_decode(mutated)[0] == out
