@@ -52,8 +52,9 @@ DELTA_MIN = -128
 DELTA_MAX = 127
 REBASE_MAX = 255
 
-_TO_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
+_TO_ASCII01 = b"0" + b"1" * 255
 _FROM_ASCII01 = bytes.maketrans(b"01", b"\x00\x01")
+_IS_FULL = bytes(255) + b"\x01"  # 1 for a packed byte of eight 1 flags
 
 
 class ArchiveFormatError(ValueError):
@@ -93,27 +94,84 @@ class EncodedParts:
     entries: list[CompressedEntry] = field(default_factory=list)
 
 
+def _spans(buf: bytes, most: int) -> list[tuple[int, int]] | None:
+    """The ``[i, j)`` stretches of 0 bytes in ``buf``, or None past ``most`` of them.
+
+    A stretch runs from a 0 byte to the next 1 byte, so in a buffer of 0/1
+    bytes the stretches are exactly the maximal runs of 0s.  Each costs two
+    ``find`` calls, which is why callers set ``most`` from the input length
+    and fall back to a whole-buffer pass past it.
+    """
+    spans: list[tuple[int, int]] = []
+    i = buf.find(0)
+    while i >= 0:
+        if len(spans) == most:
+            return None
+        j = buf.find(1, i)
+        if j < 0:
+            j = len(buf)
+        spans.append((i, j))
+        i = buf.find(0, j)
+    return spans
+
+
+def _pack(raw: bytes) -> bytes:
+    """Pack the flags of ``raw`` as one big binary number; the shift zero-pads the tail."""
+    value = int(raw.translate(_TO_ASCII01), 2) << (-len(raw) % 8)
+    return value.to_bytes((len(raw) + 7) // 8, "big")
+
+
+def _unpack(data: bytes, n: int) -> bytes:
+    """The first ``n`` bits of ``data``, one 0/1 byte each."""
+    value = int.from_bytes(data, "big") >> (-n % 8)
+    return format(value, "b").zfill(n).encode("ascii").translate(_FROM_ASCII01)
+
+
 def pack_flags(bits: Iterable[int]) -> bytes:
-    """Pack 0/1 flags MSB-first: bit i lands in bit 7-(i%8) of byte i//8."""
+    """Pack 0/1 flags MSB-first: bit i lands in bit 7-(i%8) of byte i//8.
+
+    Any nonzero flag packs as 1.  When the 0 flags form at most ``n >> 10``
+    stretches (n flags), as on positional inputs, the output starts as
+    ``0xFF`` bytes and only the packed bytes that a stretch touches are
+    packed from their flags; otherwise all flags are packed at once.
+    """
     raw = bytes(bits)
     n = len(raw)
     if n == 0:
         return b""
-    # Parse the flags as one big binary number; the shift zero-pads the tail.
-    value = int(raw.translate(_TO_ASCII01).decode("ascii"), 2) << (-n % 8)
-    return value.to_bytes((n + 7) // 8, "big")
+    spans = _spans(raw, n >> 10)
+    if spans is None:
+        return _pack(raw)
+    out = bytearray(b"\xff") * ((n + 7) // 8)
+    out[-1] &= 0xFF << (-n % 8)  # zero padding bits
+    for i, j in spans:
+        lo, hi = i >> 3, (j + 7) >> 3
+        out[lo:hi] = _pack(raw[lo << 3:hi << 3])
+    return bytes(out)
 
 
 def unpack_flags(data: bytes, n: int) -> bytearray:
-    """Inverse of :func:`pack_flags` for ``n`` bits; padding bits are ignored."""
+    """Inverse of :func:`pack_flags` for ``n`` bits; padding bits are ignored.
+
+    When the packed bytes other than ``0xFF`` form at most ``n >> 10``
+    stretches and make up at most half the bytes, as on positional inputs,
+    the flags start as 1 and only those stretches are unpacked; otherwise
+    all bytes are unpacked at once.
+    """
     if len(data) != (n + 7) // 8:
         raise ArchiveFormatError(
             "flags", f"expected {(n + 7) // 8} bytes for {n} bits, got {len(data)}"
         )
     if n == 0:
         return bytearray()
-    value = int.from_bytes(data, "big") >> (-n % 8)
-    return bytearray(format(value, "b").zfill(n).encode("ascii").translate(_FROM_ASCII01))
+    spans = _spans(data.translate(_IS_FULL), n >> 10)
+    # Dense flags leave few 0xFF bytes, so their stretches are few but long.
+    if spans is None or 2 * sum(hi - lo for lo, hi in spans) > len(data):
+        return bytearray(_unpack(data, n))
+    flags = bytearray(b"\x01") * n
+    for lo, hi in spans:
+        flags[lo << 3:hi << 3] = _unpack(data[lo:hi], min(hi << 3, n) - (lo << 3))
+    return flags
 
 
 # Tables for the entry checks: each maps a byte to 1 where it is at fault.

@@ -92,9 +92,13 @@ columns (delta, byte, count) holding what the archive stores, so
 them.  :func:`encode` clears the flags of both
 kinds of uncompressed runs (a pruned run covers two circles, so its flags
 sit at ``first`` and ``last``) and builds the literal stream once, at the
-end.  Pruning and delta coding work on run ids and the columns; the public
-:func:`remove_redundant_entries` and :func:`delta_encode_entries` lay a
-list of :class:`RunNode` out the same way and call the same code.
+end.  Where the 0 flags form at most one stretch per 256 input bytes, as on
+positional inputs, it joins the input slices of those stretches (none at
+all when every byte is flagged); otherwise it selects the 0-flagged bytes
+from the whole input.  Pruning and delta coding work on run ids and the
+columns; the public :func:`remove_redundant_entries` and
+:func:`delta_encode_entries` lay a list of :class:`RunNode` out the same
+way and call the same code.
 """
 
 from bisect import bisect_left, bisect_right
@@ -111,6 +115,7 @@ from .container import (
     CompressedEntry,
     EncodedParts,
     _entry_records,
+    _spans,
 )
 
 # Flips 0/1 flags into literal selectors for itertools.compress.
@@ -568,8 +573,13 @@ def _encode_pipeline(data: bytes) -> tuple[
     for r in behind:
         for off in state.view(r).occurrences:
             flags[off] = 0
-    # Positional inputs often flag every byte; then there is nothing to select.
-    literals = bytes(compress(data, flags.translate(_INVERT))) if 0 in flags else b""
+    # Positional inputs leave few stretches of literals, often none: copy
+    # those, and select from every byte only where they are many.
+    spans = _spans(flags, len(flags) >> 8)
+    if spans is None:
+        literals = bytes(compress(data, flags.translate(_INVERT)))
+    else:
+        literals = b"".join([data[i:j] for i, j in spans])
     return flags, literals, columns, state, found, pruned, behind
 
 

@@ -105,6 +105,20 @@ def ref_decode(archive):
     return bytes(out), matches, occurrences
 
 
+def ref_pack_flags(bits):
+    """Pack 0/1 flags one bit at a time: bit i is bit 7-(i%8) of byte i//8, padding 0."""
+    out = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        if bit:
+            out[i // 8] |= 0x80 >> (i % 8)
+    return bytes(out)
+
+
+def ref_unpack_flags(packed, n):
+    """The first ``n`` bits of ``packed``, MSB-first, one bit at a time."""
+    return [packed[i // 8] >> (7 - i % 8) & 1 for i in range(n)]
+
+
 def strictly_increasing(values):
     return all(a < b for a, b in zip(values, values[1:]))
 

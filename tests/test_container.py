@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ccz.container as container_module
 from ccz import compress, decompress
 from ccz.container import (
     HEADER_SIZE,
@@ -19,7 +20,7 @@ from ccz.container import (
 )
 from ccz.encoder import encode
 
-from oracles import underflow_input
+from oracles import ref_pack_flags, ref_unpack_flags, underflow_input
 
 ABABBA_ARCHIVE = bytes.fromhex(
     "43435a3101"              # magic "CCZ1", version 1
@@ -58,6 +59,80 @@ def test_flag_packing_roundtrip(bits):
     packed = pack_flags(bits)
     assert len(packed) == (len(bits) + 7) // 8
     assert list(unpack_flags(packed, len(bits))) == bits
+
+
+def _stretch(draw, lo, hi):
+    """A [start, end) within [lo, hi), at, across or inside a byte edge where it fits."""
+    first, last = (lo + 14) // 8, (hi - 16) // 8
+    if first > last:
+        start = draw(st.integers(lo, hi - 1))
+        return start, draw(st.integers(start + 1, hi))
+    edge = 8 * draw(st.integers(first, last))
+    where = draw(st.sampled_from(["at", "across", "inside"]))
+    if where == "at":
+        return edge, edge + 8 * draw(st.integers(1, 2))
+    if where == "across":
+        return edge - draw(st.integers(1, 7)), edge + draw(st.integers(1, 8))
+    start = edge + draw(st.integers(1, 6))
+    return start, draw(st.integers(start + 1, edge + 7))
+
+
+@st.composite
+def sparse_flags(draw):
+    """Up to 20,000 flags, mostly 1, with k stretches of 0s.
+
+    k is the span budget ``n >> 10``, one past it, or anything up to that.
+    Each stretch lies in its own slot with a 1 at both ends, so exactly k
+    stretches form.
+    """
+    n = draw(st.integers(0, 20_000))
+    budget = n >> 10
+    k = draw(st.sampled_from([budget, budget + 1]) | st.integers(0, budget + 1))
+    bits = bytearray([1]) * n
+    slot = n // k if k else 0
+    if slot >= 3:
+        for s in range(k):
+            start, end = _stretch(draw, s * slot + 1, (s + 1) * slot - 1)
+            bits[start:end] = bytes(end - start)
+    return bits
+
+
+@settings(deadline=None)
+@given(sparse_flags())
+def test_sparse_flag_packing_matches_the_per_bit_reference(bits):
+    n = len(bits)
+    packed = pack_flags(bits)
+    assert packed == ref_pack_flags(bits)
+    assert unpack_flags(packed, n) == bits
+    if n % 8:
+        # Set padding bits are ignored: with the last flags all 1 the final
+        # byte becomes 0xFF, which the span path never unpacks.
+        padded = packed[:-1] + bytes([packed[-1] | (1 << -n % 8) - 1])
+        assert list(unpack_flags(padded, n)) == ref_unpack_flags(padded, n) == list(bits)
+
+
+@pytest.mark.parametrize("stretches, expected", [(8, 8), (9, 1)])
+def test_flag_spans_end_one_past_the_budget(monkeypatch, stretches, expected):
+    # 8,192 flags allow 8 stretches of 0s: each is packed and unpacked on
+    # its own, and one more sends both directions through a single pass.
+    bits = bytearray([1]) * 8192
+    for s in range(stretches):
+        bits[s * 900 + 3] = 0
+    calls = []
+    pack, unpack = container_module._pack, container_module._unpack
+    monkeypatch.setattr(container_module, "_pack", lambda raw: calls.append("pack") or pack(raw))
+    monkeypatch.setattr(
+        container_module, "_unpack", lambda data, n: calls.append("unpack") or unpack(data, n)
+    )
+    assert unpack_flags(pack_flags(bits), len(bits)) == bits
+    assert calls.count("pack") == calls.count("unpack") == expected
+
+
+@pytest.mark.parametrize("n", [12, 4099])
+def test_nonzero_flags_pack_as_one(n):
+    # 4,099 flags take the span path, 12 the single pass.
+    bits = bytes([0, 2, 255]) + bytes([7]) * (n - 3)
+    assert pack_flags(bits) == ref_pack_flags(bits)
 
 
 def test_serialize_layout_examples():

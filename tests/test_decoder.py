@@ -1,5 +1,6 @@
 import gc
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ import ccz.decoder as decoder_module
 from ccz import compress, decompress
 from ccz.container import (
     _STEADY_BYTES,
+    HEADER_SIZE,
     ArchiveFormatError,
     CompressedEntry,
     EncodedParts,
@@ -21,6 +23,7 @@ from oracles import (
     chain_circles,
     check_non_crossing,
     ref_decode,
+    ref_unpack_flags,
     strictly_increasing,
     underflow_input,
 )
@@ -383,4 +386,49 @@ def test_short_circle_mutations_raise_only_codec_errors(choice):
         out = decode(mutated)
     except (ArchiveFormatError, CorruptArchiveError):
         return
+    assert ref_decode(mutated)[0] == out
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_sparse_literal_flag_mutations_raise_only_codec_errors(choice):
+    """Flag bits, padding bits or ``literal_len`` altered in the archive of a
+    periodic input with few literals, whose flags take the span paths.
+
+    A moved flag keeps the popcount, so the archive can still parse; then
+    its flags must be the per-bit reading of the bitmap.
+    """
+    rng = random.Random(choice.draw(st.integers(0, 2**32 - 1)))
+    n = choice.draw(st.integers(1, 12_000))
+    unit = bytes(rng.sample(range(256), choice.draw(st.integers(1, 16))))
+    data = bytearray((unit * (n // len(unit) + 1))[:n])
+    for _ in range(choice.draw(st.integers(0, 4))):
+        data[rng.randrange(n)] = rng.choice(unit) if rng.random() < 0.8 else rng.randrange(256)
+    data = bytes(data)
+    archive = compress(data)
+    assert decode(archive) == data
+    mutated = bytearray(archive)
+    bit = st.integers(0, n - 1)
+    for _ in range(choice.draw(st.integers(1, 3))):
+        kind = choice.draw(st.sampled_from(["flip", "move", "padding", "literal_len"]))
+        if kind == "flip":
+            i = choice.draw(bit)
+            mutated[HEADER_SIZE + i // 8] ^= 0x80 >> i % 8
+        elif kind == "move":
+            i, j = choice.draw(bit), choice.draw(bit)
+            bits = ref_unpack_flags(mutated[HEADER_SIZE:], n)
+            if bits[i] != bits[j]:
+                for k in (i, j):
+                    mutated[HEADER_SIZE + k // 8] ^= 0x80 >> k % 8
+        elif kind == "padding" and n % 8:
+            mutated[HEADER_SIZE + n // 8] |= choice.draw(st.integers(1, (1 << -n % 8) - 1))
+        elif kind == "literal_len":
+            (literal_len,) = struct.unpack_from("<Q", mutated, 13)
+            struct.pack_into("<Q", mutated, 13, max(0, literal_len + choice.draw(st.integers(-3, 3))))
+    mutated = bytes(mutated)
+    try:
+        out = decode(mutated)
+    except (ArchiveFormatError, CorruptArchiveError):
+        return
+    assert list(parse(mutated).flags) == ref_unpack_flags(mutated[HEADER_SIZE:], n)
     assert ref_decode(mutated)[0] == out

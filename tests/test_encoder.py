@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -388,6 +389,59 @@ def test_bulk_copies_skip_their_bytes_in_one_step(monkeypatch, data):
     monkeypatch.setattr(encoder_module, "enumerate", counted, raising=False)
     EncoderState(data).run()
     assert len(drawn) <= 256
+
+
+def _unit_with_defects(seed, period, defects):
+    """64 KiB of a unit of distinct bytes, ``defects`` bytes overwritten by unit bytes."""
+    rng = random.Random(seed)
+    unit = bytes(rng.sample(range(256), period))
+    data = bytearray((unit * (65536 // period + 1))[:65536])
+    for _ in range(defects):
+        data[rng.randrange(65536)] = rng.choice(unit)
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [bytes(262144), _unit_with_defects(1, 7, 2), _unit_with_defects(2, 13, 2)],
+    ids=["zeros", "unit7", "unit13"],
+)
+def test_few_literal_stretches_are_sliced_not_selected(monkeypatch, data):
+    # The literals of inputs with a few stretches of them are joined from
+    # input slices; selecting them would step over every input byte.
+    selections = []
+
+    def counted(*args):
+        selections.append(args)
+        return itertools.compress(*args)
+
+    monkeypatch.setattr(encoder_module, "compress", counted)
+    parts = encode(data)
+    archive = compress(data)
+    assert not selections
+    # The unit inputs have literals, so there is something to select.
+    assert bool(parts.literals) == (data != bytes(len(data)))
+    assert decode(archive) == data
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(0, 12_000),
+    st.lists(st.tuples(st.integers(0, 11_999), st.integers(0, 255)), max_size=60),
+    st.randoms(use_true_random=False),
+)
+def test_literals_are_the_bytes_flagged_0(period, n, defects, rng):
+    # Periodic inputs with up to 60 defects leave from none to hundreds of
+    # literal stretches, on both sides of the len >> 8 budget.
+    unit = bytes(rng.sample(range(256), period))
+    data = bytearray((unit * (n // period + 1))[:n])
+    for q, b in defects:
+        if q < n:
+            data[q] = b
+    data = bytes(data)
+    parts = encode(data)
+    assert parts.literals == bytes(itertools.compress(data, [not f for f in parts.flags]))
 
 
 @pytest.mark.parametrize("unit", [b"A", b"AB", b"ABC"])
