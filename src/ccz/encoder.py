@@ -79,13 +79,15 @@ per byte, a run of count 127 starting at B, and the whole span flagged.
 cursor are left as the last cycle's copy leaves them.  A partial cycle, a
 changed byte or ``upto`` is left to the byte loop and the copy.
 
-After the scan, runs covering only two circles are uncompressed again (a
-3-byte entry saving 2 bytes is a net loss) unless dropping one would leave
-a later entry's start unreachable within a signed byte of the preceding
-reference.  Finally one walk over the surviving list delta encodes it
-against the reference rule described in :mod:`ccz.container`; the same
-walk finds the runs too far behind the reference base to be serialized,
-which are uncompressed as well.  The walk emits the entries as three byte
+After the scan, every run covering only two circles is uncompressed
+again: a 3-byte entry covering 2 bytes is a net loss.  Then one walk over
+the surviving runs delta encodes them against the reference rule described
+in :mod:`ccz.container`.  Where a forward gap is too long for a signed
+byte, the walk bridges it with rebase entries.  Dropping a two-circle run never puts a later run
+behind: such a run becomes the reference only when it starts past the
+base, so without it the base stays lower.  The same walk finds the runs
+too far behind the reference base to be serialized, which are
+uncompressed as well.  The walk emits the entries as three byte
 columns (delta, byte, count) holding what the archive stores, so
 :func:`ccz.compress` writes them as they are; only :func:`encode` and
 :func:`delta_encode_entries` build :class:`CompressedEntry` records from
@@ -95,10 +97,11 @@ sit at ``first`` and ``last``) and builds the literal stream once, at the
 end.  Where the 0 flags form at most one stretch per 256 input bytes, as on
 positional inputs, it joins the input slices of those stretches (none at
 all when every byte is flagged); otherwise it selects the 0-flagged bytes
-from the whole input.  Pruning and delta coding work on run ids and the
-columns; the public :func:`remove_redundant_entries` and
-:func:`delta_encode_entries` lay a list of :class:`RunNode` out the same
-way and call the same code.
+from the whole input.  Pruning is a split of the run ids on ``count ==
+2``, and delta coding works on run ids and the columns; the public
+:func:`remove_redundant_entries` makes the same split of a list of
+:class:`RunNode`, and :func:`delta_encode_entries` lays one out as columns
+and calls the same code.
 """
 
 from bisect import bisect_left, bisect_right
@@ -394,11 +397,6 @@ def paradox_check(state: EncoderState, c: int) -> bool:
     return bisect_right(state.active_occ, p) <= state.cursor
 
 
-def _columns(nodes: Sequence[RunNode]) -> tuple[list[int], list[int], list[int]]:
-    """The ``ch``, ``start`` and ``count`` columns of ``nodes``, indexed by position."""
-    return [n.ch for n in nodes], [n.start for n in nodes], [n.count for n in nodes]
-
-
 def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
     """Delta encode run starts against the running reference.
 
@@ -409,7 +407,9 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
     runs instead.
     """
     nodes = list(run_list)
-    columns, behind = _delta_encode(range(len(nodes)), *_columns(nodes))
+    columns, behind = _delta_encode(
+        range(len(nodes)), [n.ch for n in nodes], [n.start for n in nodes], [n.count for n in nodes]
+    )
     if behind:
         raise ValueError(f"run start {nodes[behind[0]].start} is too far behind the reference base")
     return _entry_records(*columns)
@@ -462,69 +462,18 @@ def _delta_encode(
 def remove_redundant_entries(
     run_list: Sequence[RunNode], flags: bytearray, literals: bytes
 ) -> tuple[list[RunNode], bytearray, bytes]:
-    """Uncompress two-circle runs, except delta-critical reference nodes.
+    """Uncompress every two-circle run.
 
     A count-2 entry costs 3 bytes to cover 2, so it is flipped back to
-    literals, unless it would have become the reference node and without it
-    some following entry, up to the next reference, falls outside the
-    representable delta range.  Decisions are made in serialized order, and
-    the pass repeats until stable: an entry retained only to anchor runs
-    that a later sweep removed is itself removable, and at the fixpoint
-    every surviving count-2 entry is justified against the final list.
+    literals.  No later run depends on one: a two-circle run becomes the
+    reference only when it starts past the base, so without it the base
+    stays lower and later deltas only grow, which rebase entries bridge.
     Returns the surviving runs plus rewritten flags and literals.
     """
-    _, start, count = _columns(run_list)
-    kept, removed = _prune(range(len(run_list)), start, count)
     return (
-        [run_list[i] for i in kept],
-        *_uncompress((run_list[i] for i in removed), flags, literals),
+        [node for node in run_list if node.count != 2],
+        *_uncompress((node for node in run_list if node.count == 2), flags, literals),
     )
-
-
-def _prune(
-    order: Iterable[int], start: list[int], count: list[int]
-) -> tuple[list[int], list[int]]:
-    """The fixpoint of :func:`remove_redundant_entries` on run ids: (kept, removed).
-
-    ``base`` and ``reach`` track the reference as :func:`_delta_encode`
-    does.  A pass removes only count-2 runs, so once a pass keeps none, or
-    removes nothing, the next would change nothing.
-    """
-    surviving = list(order)
-    removed: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        base = reach = 0
-        kept: list[int] = []
-        for i, r in enumerate(surviving):
-            end = start[r] + count[r]
-            # A run ending within the reach is no reference: later deltas never point at it.
-            if count[r] == 2 and (
-                end <= reach or _removal_is_safe(surviving, i, base, reach, start, count)
-            ):
-                removed.append(r)
-                changed = True
-                continue
-            if end > reach:
-                base, reach = start[r], end
-            kept.append(r)
-        surviving = kept
-        changed = changed and 2 in map(count.__getitem__, kept)
-    return surviving, removed
-
-
-def _removal_is_safe(
-    order: list[int], i: int, base: int, reach: int, start: list[int], count: list[int]
-) -> bool:
-    """Can reference run ``order[i]`` go without a later delta leaving the range?"""
-    for j in range(i + 1, len(order)):
-        later = order[j]
-        if not DELTA_MIN <= start[later] - base <= DELTA_MAX:
-            return False
-        if start[later] + count[later] > reach:
-            return True  # a new reference takes over; nothing beyond it is affected
-    return True
 
 
 def _uncompress(
@@ -558,18 +507,23 @@ def _encode_pipeline(data: bytes) -> tuple[
     EncoderState, list[int], list[int], list[int],
 ]:
     """Flags, literals and entry columns, then the scan state and the ids
-    of the runs found, left by pruning, and left behind.
+    of the runs found, of those longer than two circles, and of those left
+    behind.
 
-    ``compress`` writes the first three straight into the archive.
+    ``compress`` writes the first three straight into the archive.  Every
+    two-circle run is uncompressed; where one split a forward gap of more
+    than 127 circles, :func:`_delta_encode` bridges the gap with rebase
+    entries.
     """
     state = EncoderState(data)
     state.run()
     found = state.theta_order()
-    pruned, removed = _prune(found, state.start, state.count)
-    columns, behind = _delta_encode(pruned, state.ch, state.start, state.count)
-    flags, first, last = state.flags, state.first, state.last
-    for r in removed:  # two circles each
-        flags[first[r]] = flags[last[r]] = 0
+    count, flags, first, last = state.count, state.flags, state.first, state.last
+    kept = [r for r in found if count[r] != 2]
+    columns, behind = _delta_encode(kept, state.ch, state.start, count)
+    for r in found:
+        if count[r] == 2:
+            flags[first[r]] = flags[last[r]] = 0
     for r in behind:
         for off in state.view(r).occurrences:
             flags[off] = 0
@@ -580,17 +534,17 @@ def _encode_pipeline(data: bytes) -> tuple[
         literals = bytes(compress(data, flags.translate(_INVERT)))
     else:
         literals = b"".join([data[i:j] for i, j in spans])
-    return flags, literals, columns, state, found, pruned, behind
+    return flags, literals, columns, state, found, kept, behind
 
 
 def trace_encode(data: bytes) -> EncodeTrace:
     """Encode ``data`` and report every kept and uncompressed run."""
-    flags, literals, columns, state, found, pruned, behind = _encode_pipeline(data)
-    pruned_set, behind_set = set(pruned), set(behind)
-    removed = [r for r in found if r not in pruned_set] + behind
+    flags, literals, columns, state, found, kept, behind = _encode_pipeline(data)
+    behind_set = set(behind)
+    removed = [r for r in found if state.count[r] == 2] + behind
     return EncodeTrace(
         EncodedParts(flags, literals, _entry_records(*columns)),
-        tuple(state.view(r) for r in pruned if r not in behind_set),
+        tuple(state.view(r) for r in kept if r not in behind_set),
         tuple(state.view(r) for r in removed),
     )
 

@@ -11,8 +11,6 @@ import random
 
 from ccz.container import parse
 
-DELTA_MIN, DELTA_MAX = -128, 127
-
 
 class RefEntry:
     def __init__(self, ch, start, count):
@@ -139,8 +137,8 @@ def redundancy_violations(parsed_entries):
     """Criterion-4 re-removal check over the final entry list.
 
     Returns human-readable problems: a count in {0 real, 1}, or a retained
-    count-2 entry that either is not a reference node or could have been
-    removed with every delta up to the next reference staying in range.
+    count-2 entry.  A two-circle run costs 3 bytes to cover 2, and rebase
+    entries bridge any forward gap, so no count-2 entry is ever needed.
     """
     problems = []
     for i, e in enumerate(parsed_entries):
@@ -148,24 +146,8 @@ def redundancy_violations(parsed_entries):
             problems.append(f"entry {i} has count 1")
         if e.count == 0 and e.ch != 0:
             problems.append(f"entry {i} count 0 but not a rebase")
-    resolved = ref_undo_delta(parsed_entries)
-    base = reach = 0
-    for i, (ch, start, count) in enumerate(resolved):
-        if count == 2:
-            if start + count <= reach:
-                problems.append(f"count-2 entry {i} retained but not a reference node")
-            else:
-                broken = False
-                for ch2, start2, count2 in resolved[i + 1:]:
-                    if not DELTA_MIN <= start2 - base <= DELTA_MAX:
-                        broken = True
-                        break
-                    if start2 + count2 > reach:
-                        break
-                if not broken:
-                    problems.append(f"count-2 entry {i} retained but removable")
-        if start + count > reach:
-            base, reach = start, start + count
+        if e.count == 2:
+            problems.append(f"count-2 entry {i} retained")
     return problems
 
 

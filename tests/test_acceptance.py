@@ -190,7 +190,7 @@ def test_archive_bytes_are_pinned(pipeline):
     corpus = hashlib.sha256()
     for _, _, archive in results:
         corpus.update(len(archive).to_bytes(4, "big") + archive)
-    assert corpus.hexdigest() == "c2d5ae9d661746da126b8520987713d6a0860a6574fdbf270cb8cedabbace9b4"
+    assert corpus.hexdigest() == "b7d1d82a7d5cb502d2af1e3b54576b898aba0d0a327f067fd8b6033e9b1f7166"
     zeros = serialize(encode(bytes(65536)))
     assert hashlib.sha256(zeros).hexdigest() == (
         "6d33869cc4811d4d04e0be11e85c6cd3adee0698ea2e50bc8a35df23b66afbda"

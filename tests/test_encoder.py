@@ -13,7 +13,7 @@ import ccz
 import ccz.encoder as encoder_module
 from ccz import compress
 from ccz.circles import split_circles
-from ccz.container import CompressedEntry, serialize
+from ccz.container import CompressedEntry, EncodedParts, parse, serialize
 from ccz.decoder import decode
 from ccz.encoder import (
     EncoderState,
@@ -25,7 +25,7 @@ from ccz.encoder import (
     trace_encode,
 )
 
-from oracles import chain_circles, underflow_input
+from oracles import chain_circles, redundancy_violations, underflow_input
 from test_acceptance import _steady_edges
 
 
@@ -203,26 +203,45 @@ class TestRedundantRemoval:
         assert list(flags2) == [1, 1, 1, 1]
         assert literals2 == b""
 
-    def test_delta_critical_reference_retained(self):
+    def test_far_run_is_reached_by_a_rebase(self):
+        # Every two-circle run is dropped, so one rebase carries the base
+        # from 0 to circle 251, just before the run of 0xFF.
         data = chain_circles(256, triple_circles={252, 253, 254})
-        trace = trace_encode(data)
-        kept = [(r.start, r.count) for r in trace.runs]
-        assert (252, 3) in kept
-        assert any(count == 2 for _, count in kept), "an anchor must survive"
-        for start, count in kept:
-            if count == 2:
-                assert start <= 127 + 2  # reachable from the zero base
+        parts = encode(data)
+        assert parts.entries == [CompressedEntry(251, 0, 0), CompressedEntry(1, 255, 3)]
+        archive = serialize(parts)
+        assert len(archive) == 608
+        assert decode(archive) == data
 
-    def test_anchor_chain_for_far_reference(self):
+    def test_far_run_is_reached_by_a_chain_of_rebases(self):
         data = chain_circles(420, triple_circles={400, 401, 402})
-        parts = trace_encode(data).parts
-        deltas = [e.delta for e in parts.entries]
-        assert all(-128 <= d <= 127 for d in deltas)
-        assert decode(serialize(parts)) == data
+        parts = encode(data)
+        assert parts.entries == [
+            CompressedEntry(255, 0, 0),
+            CompressedEntry(144, 0, 0),
+            CompressedEntry(1, 255, 3),
+        ]
+        archive = serialize(parts)
+        assert len(archive) == 980
+        assert decode(archive) == data
 
     def test_pointless_anchors_removed_at_fixpoint(self):
         parts = encode(chain_circles(300))
         assert parts.entries == []  # nothing left that needs anchoring
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            chain_circles(256, triple_circles={252, 253, 254}),
+            chain_circles(420, triple_circles={400, 401, 402}),
+            chain_circles(300) + b"\xff\xff\xff",
+        ],
+        ids=["rebase", "rebase-chain", "trailing-run"],
+    )
+    def test_chain_inputs_keep_no_two_circle_entry(self, data):
+        # Far runs after a chain of two-circle runs: the re-removal oracle
+        # finds no count-2 entry to remove.
+        assert redundancy_violations(parse(compress(data)).entries) == []
 
 
 class TestParadoxCheck:
@@ -455,6 +474,51 @@ def test_repeats_finds_every_count_below_the_limit(unit):
                 expected = min(actual, limit)
                 for present in range(expected + 1):
                     assert encoder_module._repeats(data, unit, 2, present, limit) == expected
+
+
+def _periodic_with_defects(unit, repeats, defects):
+    data = bytearray(unit * repeats)
+    for at, byte in defects:
+        data[at % len(data)] = byte
+    return bytes(data)
+
+
+def _chain_with_triples(n, firsts):
+    return chain_circles(n, triple_circles={k + i for k in firsts for i in range(3)})
+
+
+_STAGED_INPUTS = st.one_of(
+    st.binary(max_size=1024),
+    st.lists(st.integers(0, 3), max_size=1024).map(bytes),
+    st.builds(
+        _periodic_with_defects,
+        st.binary(min_size=1, max_size=16),
+        st.integers(1, 300),
+        st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 255)), max_size=8),
+    ),
+    st.builds(
+        _chain_with_triples,
+        st.integers(1, 450),
+        st.lists(st.integers(1, 448), max_size=3),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STAGED_INPUTS)
+def test_staged_calls_compose_to_compress(data):
+    # The public stages, chained by hand, write compress's archive, and
+    # pruning leaves no two-circle run.
+    state = EncoderState(data)
+    state.run()
+    literals = bytes(itertools.compress(data, [not f for f in state.flags]))
+    kept, flags, literals = remove_redundant_entries(state.run_list(), state.flags, literals)
+    assert all(node.count != 2 for node in kept)
+    try:
+        entries = delta_encode_entries(kept)
+    except ValueError:
+        return  # a run too far behind the base: compress uncompresses it
+    assert serialize(EncodedParts(flags, literals, entries)) == compress(data)
 
 
 def _snapshot(state):
