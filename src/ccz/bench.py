@@ -7,7 +7,7 @@ values above 1 mean compression.  The overall row is size-weighted:
 total original over total compressed, not a mean of per-file factors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import csv
@@ -42,16 +42,11 @@ class BenchReport:
         """Size-weighted aggregate row, or None for an empty report."""
         if not self.rows:
             return None
-        original = sum(r.original for r in self.rows)
-        cc_size = sum(r.cc_size for r in self.rows)
-        rle_size = sum(r.rle_size for r in self.rows)
-        return BenchRow(
+        return _row(
             "overall",
-            original,
-            cc_size,
-            _safe_factor(original, cc_size),
-            rle_size,
-            _safe_factor(original, rle_size),
+            sum(r.original for r in self.rows),
+            sum(r.cc_size for r in self.rows),
+            sum(r.rle_size for r in self.rows),
             all(r.verified for r in self.rows),
         )
 
@@ -64,6 +59,12 @@ def compression_factor(original_size: int, compressed_size: int) -> float:
 
 def _safe_factor(original: int, compressed: int) -> float:
     return compression_factor(original, compressed) if compressed > 0 else 0.0
+
+
+def _row(name: str, original: int, cc_size: int, rle_size: int, verified: bool) -> BenchRow:
+    """A row with both factors worked out from its sizes."""
+    cc_factor, rle_factor = _safe_factor(original, cc_size), _safe_factor(original, rle_size)
+    return BenchRow(name, original, cc_size, cc_factor, rle_size, rle_factor, verified)
 
 
 def run_corpus(directory: str | Path) -> BenchReport:
@@ -90,32 +91,19 @@ def run_corpus(directory: str | Path) -> BenchReport:
         if rle_decode(packed) != data:
             raise LosslessnessError(f"rle roundtrip mismatch on {path.name}")
 
-        report.rows.append(
-            BenchRow(
-                path.name,
-                len(data),
-                len(archive),
-                _safe_factor(len(data), len(archive)),
-                len(packed),
-                _safe_factor(len(data), len(packed)),
-                True,
-            )
-        )
+        report.rows.append(_row(path.name, len(data), len(archive), len(packed), True))
     return report
 
 
-_COLUMNS = ("name", "original", "cc_size", "cc_factor", "rle_size", "rle_factor", "verified")
+_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def _cells(row: BenchRow) -> list[str]:
     return [
-        row.name,
-        str(row.original),
-        str(row.cc_size),
-        f"{row.cc_factor:.3f}",
-        str(row.rle_size),
-        f"{row.rle_factor:.3f}",
-        "true" if row.verified else "false",
+        f"{value:.3f}" if isinstance(value, float)
+        else ("true" if value else "false") if isinstance(value, bool)
+        else str(value)
+        for value in astuple(row)
     ]
 
 

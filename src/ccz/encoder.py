@@ -429,8 +429,11 @@ def _delta_encode(
     behind it cannot be serialized.  Such a run never updates the reference
     (its reach is below the base), so skipping it leaves every other delta
     unchanged.  It takes nested insertions under the count cap, yet is not
-    rare: 5 to 10 of the benchmark's 1,000 short mixed inputs and some
-    256 KiB inputs, all periodic with defects, have one.
+    rare, and defects that only swap in other bytes of a periodic input's
+    unit suffice: two such bytes in 64 KiB of a 13-byte unit leave 26
+    capped runs behind.  At seeds 1, 7 and 16101, 4 to 7 of the benchmark's
+    1,000 short mixed inputs have one, all periodic, and so does one
+    256 KiB periodic input.
     """
     base = reach = 0
     deltas, chs, counts = bytearray(), bytearray(), bytearray()

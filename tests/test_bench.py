@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ccz
 from ccz.bench import (
     BenchReport,
     BenchRow,
@@ -73,6 +79,27 @@ def test_run_corpus_empty_file_has_zero_factor(tmp_path):
     row = report.rows[0]
     assert row.original == 0 and row.cc_size == 25 and row.rle_size == 0
     assert row.cc_factor == 0.0 and row.rle_factor == 0.0
+
+
+def test_readme_bench_table_is_what_bench_prints(tmp_path):
+    (tmp_path / "ababba.bin").write_bytes(b"ABABBA")
+    (tmp_path / "periodic.bin").write_bytes(b"ABCDEFG" * 128)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("| name |", readme.index("## Command line"))
+    end = readme.index("\n", readme.index("| overall |", start)) + 1
+    assert emit_report(run_corpus(tmp_path), "markdown") == readme[start:end]
+
+
+def test_import_ccz_leaves_the_report_layer_unloaded():
+    # Report changes then cannot move the codec's import or call times.
+    script = "import sys, ccz; print(*sys.modules, sep='\\n')"
+    src = str(Path(ccz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    loaded = set(out.stdout.split())
+    assert "ccz" in loaded
+    assert "ccz.bench" not in loaded and "ccz.cli" not in loaded
 
 
 def sample_report():

@@ -225,9 +225,9 @@ class TestRedundantRemoval:
         assert len(archive) == 980
         assert decode(archive) == data
 
-    def test_pointless_anchors_removed_at_fixpoint(self):
+    def test_chain_of_two_circle_runs_keeps_no_entry(self):
         parts = encode(chain_circles(300))
-        assert parts.entries == []  # nothing left that needs anchoring
+        assert parts.entries == []  # every run covers two circles, so none is kept
 
     @pytest.mark.parametrize(
         "data",
@@ -545,6 +545,18 @@ def test_underflow_run_is_uncompressed():
     assert any(r.count == 127 for r in trace.removed), "the deep run must fall back to literals"
     assert all(-128 <= e.delta <= 127 for e in trace.parts.entries if e.count)
     assert decode(serialize(trace.parts)) == data
+
+
+def test_in_unit_defects_leave_runs_behind():
+    # Two defects that only swap in bytes of the unit: 26 capped runs then
+    # start too far behind the reference base and fall back to literals.
+    data = bytearray((b"ABCDEFGHIJKLM" * 5042)[:65536])
+    data[20001:20003] = b"MB"
+    data = bytes(data)
+    trace = trace_encode(data)
+    assert len(trace.removed) == 26 and all(r.count > 2 for r in trace.removed)
+    assert all(-128 <= e.delta <= 127 for e in trace.parts.entries if e.count)
+    assert decode(compress(data)) == data
 
 
 def test_within_circle_matches_are_ordered():
