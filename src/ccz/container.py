@@ -162,8 +162,6 @@ def unpack_flags(data: bytes, n: int) -> bytearray:
         raise ArchiveFormatError(
             "flags", f"expected {(n + 7) // 8} bytes for {n} bits, got {len(data)}"
         )
-    if n == 0:
-        return bytearray()
     spans = _spans(data.translate(_IS_FULL), n >> 10)
     # Dense flags leave few 0xFF bytes, so their stretches are few but long.
     if spans is None or 2 * sum(hi - lo for lo, hi in spans) > len(data):
@@ -277,7 +275,7 @@ def _read_archive(data: bytes) -> tuple[bytearray, bytes, bytes, bytes, bytes]:
     if len(data) > pos + 3 * entry_count:
         raise ArchiveFormatError("entries", "trailing bytes after entry section")
 
-    packed_value = int.from_bytes(packed, "big") if packed else 0
+    packed_value = int.from_bytes(packed, "big")
     pad = -original_len % 8
     if pad and packed_value & ((1 << pad) - 1):
         raise ArchiveFormatError("flags", "padding bits must be zero")

@@ -63,7 +63,10 @@ there in one step, through the iterator's pickling hook (``__setstate__``),
 as the decoder moves its flag iterator, so the copied bytes are not
 stepped over one at a time.  Only stretches of at least
 ``2 + 16 // size`` repeats are copied, so inputs without them pay one
-``startswith`` per fully matched circle.
+``startswith`` per fully matched circle.  That test is the steady-copy
+gate, written inline in :meth:`EncoderState.feed_prefix` as is the
+cap-cycle gate below; only a gate that passes calls :func:`_repeats`,
+the one search for how far the repeats go.
 
 A copy that leaves every run at the cap (so the runs had equal counts)
 goes on across whole cap cycles of 127 repeats.  Past the cap the byte loop
@@ -217,9 +220,14 @@ class EncoderState:
                     ps, cs, cursor = cs, q, -1
                     active, active_occ, matched, matched_occ = matched, matched_occ, [], []
                     size = q - ps
-                    reps = len(active) == size and _steady_repeats(
-                        data, q, size, active, count, upto
-                    )
+                    reps = 0
+                    if len(active) == size:
+                        unit = data[ps:q]
+                        least = 2 + _STEADY_BYTES // size
+                        if data.startswith(unit * least, q):
+                            # Copy no run past the count cap and no byte past upto.
+                            slack = MAX_COUNT - max(map(count.__getitem__, active))
+                            reps = _repeats(data, unit, q, least, min(slack, (upto - q) // size))
                     if reps:
                         # Every run of the previous circle extends once per repeat,
                         # in order; leave the state the byte loop would leave.
@@ -228,15 +236,16 @@ class EncoderState:
                             count[r] += reps
                             last[r] += span
                         circle += reps - 1
-                        end = q + span
-                        full = min(map(count.__getitem__, active)) == MAX_COUNT and _cycles(
-                            data, end, size, upto
-                        )
+                        end, cycle, full = q + span, MAX_COUNT * size, 0
+                        if min(map(count.__getitem__, active)) == MAX_COUNT:
+                            looped = unit * MAX_COUNT
+                            if data.startswith(looped, end):
+                                full = _repeats(data, looped, end, 1, (upto - end) // cycle)
                         if full:
                             # Whole cap cycles: in each, every byte of the unit
                             # starts a run at the tail that is copied to the cap
                             # (see the module docstring).
-                            unit, cycle, n = data[q - size:q], MAX_COUNT * size, len(run_ch)
+                            n = len(run_ch)
                             firsts = [end + cycle * j + i for j in range(full) for i in range(size)]
                             run_ch += unit * full
                             start += [circle + 1 + MAX_COUNT * j for j in range(full) for _ in unit]
@@ -335,41 +344,17 @@ class EncoderState:
         return [self.view(r) for r in self.theta_order()]
 
 
-def _steady_repeats(
-    data: bytes, q: int, size: int, active: list[int], count: list[int], upto: int
-) -> int:
-    """Whole repeats of the ``size``-byte circle before ``q`` to copy from ``q`` on.
-
-    The count is capped by the slack of the fullest run in ``active`` (ids
-    into the ``count`` column) and by ``upto``; 0 means the byte loop goes
-    on.  A stretch of fewer than ``2 + _STEADY_BYTES // size`` repeats is
-    left to the byte loop, so that short circles that recur only a few
-    times do not pay for the count.
-    """
-    unit = data[q - size:q]
-    least = 2 + _STEADY_BYTES // size
-    if not data.startswith(unit * least, q):
-        return 0
-    limit = min(MAX_COUNT - max(map(count.__getitem__, active)), (upto - q) // size)
-    if limit <= least:
-        return limit
-    return _repeats(data, unit, q, least, limit)
-
-
-def _cycles(data: bytes, end: int, size: int, upto: int) -> int:
-    """Whole cap cycles (127 repeats of the circle before ``end``) from ``end`` to ``upto``."""
-    cycle = data[end - size:end] * MAX_COUNT
-    limit = (upto - end) // len(cycle)
-    if not limit or not data.startswith(cycle, end):
-        return 0
-    return _repeats(data, cycle, end, 1, limit)
-
-
 def _repeats(data: bytes, unit: bytes, q: int, present: int, limit: int) -> int:
     """The most copies of ``unit``, at most ``limit``, that ``data`` holds from ``q`` on.
 
-    ``present`` copies are known to be there.
+    ``present`` copies are known to be there: ``feed_prefix`` calls this
+    only once its inline gate, one ``startswith`` of ``present`` copies,
+    has passed.  It is the encoder's only repeat search, for both the
+    steady copy (``unit`` one circle) and the cap cycles (``unit`` 127
+    circles).
     """
+    if limit <= present:
+        return limit
     if data.startswith(unit * limit, q):
         return limit
     return present + bisect_left(

@@ -124,10 +124,9 @@ def test_criterion_6_expansion_bound(pipeline):
         for data, parts, archive in results:
             n = len(data)
             base = HEADER_SIZE + (n + 7) // 8 + n
-            retained_2 = sum(1 for e in parts.entries if e.count == 2)
             rebases = sum(1 for e in parts.entries if e.count == 0)
-            assert len(archive) <= base + retained_2 + 3 * rebases
-            if retained_2 == 0 and rebases == 0:
+            assert len(archive) <= base + 3 * rebases
+            if rebases == 0:
                 assert len(archive) <= base
 
 

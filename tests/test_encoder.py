@@ -379,18 +379,21 @@ def test_cap_cycles_roll_over_as_the_byte_loop(unit, repeats, prefix, suffix, de
 
 
 def test_zeros_roll_cap_cycles_over_in_one_step(monkeypatch):
-    # 64 KiB of zeros is 516 cap cycles; the byte loop would look for
-    # repeated circles twice in each.
+    # 64 KiB of zeros is 516 cap cycles, and 64 KiB of a 7-byte unit 73;
+    # rolling each over in the byte loop would search for repeats twice in
+    # each cycle.
     calls = []
-    steady = encoder_module._steady_repeats
+    repeats = encoder_module._repeats
 
-    def counted(data, q, *rest):
+    def counted(data, unit, q, *rest):
         calls.append(q)
-        return steady(data, q, *rest)
+        return repeats(data, unit, q, *rest)
 
-    monkeypatch.setattr(encoder_module, "_steady_repeats", counted)
-    EncoderState(bytes(65536)).run()
-    assert len(calls) <= 8
+    monkeypatch.setattr(encoder_module, "_repeats", counted)
+    for data in bytes(65536), b"ABCDEFG" * 9363:
+        calls.clear()
+        EncoderState(data).run()
+        assert len(calls) <= 8, data[:7]
 
 
 @pytest.mark.parametrize("data", [bytes(262144), b"ABCDEFG" * 9363], ids=["zeros", "unit"])
