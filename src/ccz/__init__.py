@@ -12,17 +12,18 @@ from .circles import CirclePosition, CircleSegmentation, position_of, split_circ
 from .container import (
     ArchiveFormatError,
     CompressedEntry,
+    CorruptArchiveError,
     EncodedParts,
+    RunNode,
     _write_archive,
     pack_flags,
     parse,
     serialize,
     unpack_flags,
 )
-from .decoder import CorruptArchiveError, LiveEntry, decode, undo_delta
+from .decoder import decode, undo_delta
 from .encoder import (
     EncoderState,
-    RunNode,
     _encode_pipeline,
     delta_encode_entries,
     encode,
@@ -56,7 +57,6 @@ __all__ = [
     "CorruptArchiveError",
     "EncodedParts",
     "EncoderState",
-    "LiveEntry",
     "RunNode",
     "compress",
     "decode",

@@ -31,6 +31,13 @@ the new reference when its start + count exceeds the largest start + count
 seen so far.  Encoder and decoder apply the identical rule, so the base
 never needs to be stored.  ``count`` = 1 never occurs: one-circle
 repetitions are not runs.
+
+Both walks of this rule live here.  :func:`_delta_encode` writes run
+starts as deltas from the base.  Before a start more than 127 circles
+ahead it writes rebases that advance the base to start - 1; a start more
+than 128 circles behind cannot be written, so it returns those runs.
+:func:`_resolve` reads entries back into starts.  After a rebase both
+lift the largest start + count to at least the new base.
 """
 
 import struct
@@ -63,6 +70,26 @@ class ArchiveFormatError(ValueError):
     def __init__(self, section: str, message: str):
         self.section = section
         super().__init__(f"{section}: {message}")
+
+
+class CorruptArchiveError(ValueError):
+    """Structurally valid archive whose streams are mutually inconsistent."""
+
+
+class RunNode(NamedTuple):
+    """One run as a standalone record, for the staged API and traces.
+
+    ``occurrences`` holds the absolute input offset of the byte in every
+    covered circle, innermost first, so ``len(occurrences) == count``, or
+    is empty where the offsets are unknown, as after
+    :func:`ccz.decoder.undo_delta`.  :meth:`ccz.encoder.EncoderState.view`
+    builds these records on request; the encoder keeps runs as columns.
+    """
+
+    ch: int
+    start: int
+    count: int = 2
+    occurrences: tuple[int, ...] = ()
 
 
 class CompressedEntry(NamedTuple):
@@ -154,17 +181,15 @@ def unpack_flags(data: bytes, n: int) -> bytearray:
     """Inverse of :func:`pack_flags` for ``n`` bits; padding bits are ignored.
 
     When the packed bytes other than ``0xFF`` form at most ``n >> 10``
-    stretches and make up at most half the bytes, as on positional inputs,
-    the flags start as 1 and only those stretches are unpacked; otherwise
-    all bytes are unpacked at once.
+    stretches, as on positional inputs, the flags start as 1 and only those
+    stretches are unpacked; otherwise all bytes are unpacked at once.
     """
     if len(data) != (n + 7) // 8:
         raise ArchiveFormatError(
             "flags", f"expected {(n + 7) // 8} bytes for {n} bits, got {len(data)}"
         )
     spans = _spans(data.translate(_IS_FULL), n >> 10)
-    # Dense flags leave few 0xFF bytes, so their stretches are few but long.
-    if spans is None or 2 * sum(hi - lo for lo, hi in spans) > len(data):
+    if spans is None:
         return bytearray(_unpack(data, n))
     flags = bytearray(b"\x01") * n
     for lo, hi in spans:
@@ -227,7 +252,10 @@ def _write_archive(
 
 
 def serialize(parts: EncodedParts) -> bytes:
-    """Write the archive: header, packed flags, literals, entry triples."""
+    """Write the archive: header, packed flags, literals, entry triples.
+
+    Raises ``ValueError`` for parts that :func:`parse` would reject.
+    """
     deltas = bytearray()
     for delta, _, count in parts.entries:
         if count == 0:
@@ -238,6 +266,9 @@ def serialize(parts: EncodedParts) -> bytes:
         deltas.append(delta & 0xFF)
     chs = bytes(entry.ch for entry in parts.entries)
     counts = bytes(entry.count for entry in parts.entries)
+    zeros = parts.flags.count(0)
+    if len(parts.literals) != zeros or sum(counts) != len(parts.flags) - zeros:
+        raise ValueError("flags do not match the literals and entry counts")
     return _write_archive(parts.flags, parts.literals, deltas, chs, counts)
 
 
@@ -314,6 +345,79 @@ def _entry_deltas(deltas: bytes, counts: bytes) -> list[int]:
 def _entry_records(deltas: bytes, chs: bytes, counts: bytes) -> list[CompressedEntry]:
     """One :class:`CompressedEntry` per entry of the three entry columns."""
     return list(map(CompressedEntry, _entry_deltas(deltas, counts), chs, counts))
+
+
+def _delta_encode(
+    order: Iterable[int], ch: list[int], start: list[int], count: list[int]
+) -> tuple[tuple[bytearray, bytearray, bytearray], list[int]]:
+    """Entry columns for the serializable runs of ``order``, plus the ids left ``behind``.
+
+    The columns (``deltas``, ``chs``, ``counts``) hold each entry's bytes
+    as the archive stores them, deltas in two's complement.  ``base`` is
+    the reference's start circle and ``reach`` its start + count.
+
+    A run left behind never updates the reference (its reach is below the
+    base), so skipping it leaves every other delta unchanged.  It takes
+    nested insertions under the count cap, yet is not rare, and defects
+    that only swap in other bytes of a periodic input's unit suffice: two
+    such bytes in 64 KiB of a 13-byte unit leave 26 capped runs behind.  At
+    seeds 1, 7 and 16101, 4 to 7 of the benchmark's 1,000 short mixed
+    inputs have one, all periodic, and so does one 256 KiB periodic input.
+    """
+    base = reach = 0
+    deltas, chs, counts = bytearray(), bytearray(), bytearray()
+    behind: list[int] = []
+    for r in order:
+        first_circle = start[r]
+        delta = first_circle - base
+        if delta > DELTA_MAX:
+            while base < first_circle - 1:
+                hop = min(REBASE_MAX, first_circle - 1 - base)
+                deltas.append(hop)
+                chs.append(0)
+                counts.append(0)
+                base += hop
+            reach = max(reach, base)
+            delta = 1
+        elif delta < DELTA_MIN:
+            behind.append(r)
+            continue
+        deltas.append(delta & 0xFF)
+        chs.append(ch[r])
+        n = count[r]
+        counts.append(n)
+        if first_circle + n > reach:
+            base, reach = first_circle, first_circle + n
+    return (deltas, chs, counts), behind
+
+
+def _resolve(entries: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """The ``ch``, ``start`` and ``end`` (start + count) columns of the real entries.
+
+    ``entries`` yields (delta, ch, count) as :class:`CompressedEntry` holds
+    them; the walk inverts :func:`_delta_encode` (see the module docstring).
+    """
+    base = reach = 0  # the reference's start circle and start + count
+    ch: list[int] = []
+    start: list[int] = []
+    end: list[int] = []
+    for delta, c, count in entries:
+        if not count:
+            if not 1 <= delta <= REBASE_MAX:
+                raise CorruptArchiveError(f"rebase advance {delta} outside 1..{REBASE_MAX}")
+            base += delta
+            reach = max(reach, base)
+            continue
+        first = base + delta
+        if first < 1:
+            raise CorruptArchiveError(f"entry resolves to start circle {first}")
+        ch.append(c)
+        start.append(first)
+        last = first + count
+        end.append(last)
+        if last > reach:
+            base, reach = first, last
+    return ch, start, end
 
 
 def parse(data: bytes) -> EncodedParts:

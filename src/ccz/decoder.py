@@ -21,12 +21,13 @@ yields the same matches as the literal scan (the ordering invariants make
 the next unconsumed live entry always the match) in time linear in output
 size plus total run coverage.  Entries arrive as the three byte columns
 of the archive's entry section (delta, byte, count), sliced straight from
-it; one walk over them resolves the deltas into ``ch``, ``start`` and
-``end`` (start + count) columns of the real entries, in serialized order,
-and no record is built per entry.  An entry is its index into these
-columns, so the live list, the entries not yet live and the circles where
-the list changes are all lists of ints.  :func:`undo_delta` runs the same
-walk over a list of records.  Four facts keep the work per circle small:
+it; one walk over them, :func:`ccz.container._resolve`, resolves the
+deltas into ``ch``, ``start`` and ``end`` (start + count) columns of the
+real entries, in serialized order, and no record is built per entry.  An
+entry is its index into these columns, so the live list, the entries not
+yet live and the circles where the list changes are all lists of ints.
+:func:`undo_delta` runs the same walk over a list of records.  Four facts
+keep the work per circle small:
 
 * A 256-slot stamp list, ``stamp[b] == circle``, records the bytes the
   current circle holds, so opening a circle allocates nothing.  Decoding
@@ -70,68 +71,27 @@ walk over a list of records.  Four facts keep the work per circle small:
 """
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator
 
 from .container import (
-    REBASE_MAX,
     _STEADY_BYTES,
     CompressedEntry,
+    CorruptArchiveError,
+    RunNode,
     _entry_deltas,
     _read_archive,
+    _resolve,
 )
 
 
-class CorruptArchiveError(ValueError):
-    """Structurally valid archive whose streams are mutually inconsistent."""
-
-
-class LiveEntry(NamedTuple):
-    """One real entry with its start circle resolved."""
-
-    ch: int
-    start: int
-    count: int
-
-
-def _resolve(entries: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[int], list[int]]:
-    """The ``ch``, ``start`` and ``end`` (start + count) columns of the real entries.
-
-    ``entries`` yields (delta, ch, count) as :class:`CompressedEntry` holds
-    them.  Rebase entries advance the reference base and produce nothing;
-    real entries update the reference by the encoder's start + count rule.
-    """
-    base = reach = 0  # the reference's start circle and start + count
-    ch: list[int] = []
-    start: list[int] = []
-    end: list[int] = []
-    for delta, c, count in entries:
-        if not count:
-            if not 1 <= delta <= REBASE_MAX:
-                raise CorruptArchiveError(f"rebase advance {delta} outside 1..{REBASE_MAX}")
-            base += delta
-            if reach < base:
-                reach = base
-            continue
-        first = base + delta
-        if first < 1:
-            raise CorruptArchiveError(f"entry resolves to start circle {first}")
-        ch.append(c)
-        start.append(first)
-        last = first + count
-        end.append(last)
-        if last > reach:
-            base, reach = first, last
-    return ch, start, end
-
-
-def undo_delta(entries: list[CompressedEntry]) -> list[LiveEntry]:
+def undo_delta(entries: list[CompressedEntry]) -> list[RunNode]:
     """Resolve deltas to absolute start circles, mirroring the encoder.
 
-    Rebase entries advance the reference base and produce nothing; real
-    entries update the reference by the identical start + count rule.
+    Rebase entries advance the reference base and produce nothing; each
+    real entry gives one :class:`RunNode` without occurrences.
     """
     ch, start, end = _resolve(entries)
-    return [LiveEntry(c, first, last - first) for c, first, last in zip(ch, start, end)]
+    return [RunNode(c, first, last - first) for c, first, last in zip(ch, start, end)]
 
 
 def _windows(
@@ -192,9 +152,7 @@ def decode(archive: bytes) -> bytes:
     """Decompress an archive back to the exact original bytes."""
     flags, literals, deltas, chs, counts = _read_archive(archive)
     ch, start, end = _resolve(zip(_entry_deltas(deltas, counts), chs, counts))
-    n = len(flags)
-    if flags.count(0) != len(literals):
-        raise CorruptArchiveError("literal stream does not match the 0 flags")
+    n = len(flags)  # _read_archive checked that the 0 flags number len(literals)
 
     pending = sorted(range(len(start)), key=start.__getitem__, reverse=True)  # not live yet
     # Every live entry is used once per circle, so the live list changes only

@@ -84,63 +84,47 @@ changed byte or ``upto`` is left to the byte loop and the copy.
 
 After the scan, every run covering only two circles is uncompressed
 again: a 3-byte entry covering 2 bytes is a net loss.  Then one walk over
-the surviving runs delta encodes them against the reference rule described
-in :mod:`ccz.container`.  Where a forward gap is too long for a signed
-byte, the walk bridges it with rebase entries.  Dropping a two-circle run never puts a later run
-behind: such a run becomes the reference only when it starts past the
-base, so without it the base stays lower.  The same walk finds the runs
-too far behind the reference base to be serialized, which are
-uncompressed as well.  The walk emits the entries as three byte
-columns (delta, byte, count) holding what the archive stores, so
-:func:`ccz.compress` writes them as they are; only :func:`encode` and
-:func:`delta_encode_entries` build :class:`CompressedEntry` records from
-them.  :func:`encode` clears the flags of both
-kinds of uncompressed runs (a pruned run covers two circles, so its flags
-sit at ``first`` and ``last``) and builds the literal stream once, at the
-end.  Where the 0 flags form at most one stretch per 256 input bytes, as on
-positional inputs, it joins the input slices of those stretches (none at
-all when every byte is flagged); otherwise it selects the 0-flagged bytes
-from the whole input.  Pruning is a split of the run ids on ``count ==
-2``, and delta coding works on run ids and the columns; the public
-:func:`remove_redundant_entries` makes the same split of a list of
-:class:`RunNode`, and :func:`delta_encode_entries` lays one out as columns
-and calls the same code.
+the surviving runs, :func:`ccz.container._delta_encode`, delta encodes
+them against the reference rule, bridging long forward gaps with rebase
+entries.  Dropping a two-circle run never puts a later run behind: such
+a run becomes the reference only when it starts past the base, so
+without it the base stays lower.  The same walk finds the runs too far
+behind the reference base to be serialized, which are uncompressed as
+well.  The walk emits the entries as three byte columns (delta, byte,
+count) holding what the archive stores, so :func:`ccz.compress` writes
+them as they are; only :func:`encode` and :func:`delta_encode_entries`
+build :class:`CompressedEntry` records from them.  :func:`encode` clears
+the flags of both kinds of uncompressed runs (a pruned run covers two
+circles, so its flags sit at ``first`` and ``last``) and builds the
+literal stream once, at the end.  Where the 0 flags form at most one
+stretch per 256 input bytes, as on positional inputs, it joins the input
+slices of those stretches (none at all when every byte is flagged);
+otherwise it selects the 0-flagged bytes from the whole input.  Pruning
+is a split of the run ids on ``count == 2``, and delta coding works on
+run ids and the columns; the public :func:`remove_redundant_entries`
+makes the same split of a list of :class:`RunNode`, and
+:func:`delta_encode_entries` lays one out as columns and calls the same
+code.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .container import (
-    DELTA_MAX,
-    DELTA_MIN,
     MAX_COUNT,
-    REBASE_MAX,
     _STEADY_BYTES,
     CompressedEntry,
     EncodedParts,
+    RunNode,
+    _delta_encode,
     _entry_records,
     _spans,
 )
 
 # Flips 0/1 flags into literal selectors for itertools.compress.
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-class RunNode(NamedTuple):
-    """One run as a standalone record, for the staged API and traces.
-
-    ``occurrences`` holds the absolute input offset of the byte in every
-    covered circle, innermost first, so ``len(occurrences) == count``.
-    :meth:`EncoderState.view` builds these records on request; the encoder
-    itself keeps runs as columns of ints.
-    """
-
-    ch: int
-    start: int
-    count: int = 2
-    occurrences: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -398,53 +382,6 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
     if behind:
         raise ValueError(f"run start {nodes[behind[0]].start} is too far behind the reference base")
     return _entry_records(*columns)
-
-
-def _delta_encode(
-    order: Iterable[int], ch: list[int], start: list[int], count: list[int]
-) -> tuple[tuple[bytearray, bytearray, bytearray], list[int]]:
-    """Entry columns for the serializable runs of ``order``, plus the ids left ``behind``.
-
-    The columns (``deltas``, ``chs``, ``counts``) hold each entry's bytes
-    as the archive stores them, deltas in two's complement.  ``base`` is
-    the reference's start circle and ``reach`` its start + count, as in
-    :mod:`ccz.container`; a rebase moves ``base`` and lifts ``reach`` to it.
-
-    Rebases only move the base forward, so a start more than 128 circles
-    behind it cannot be serialized.  Such a run never updates the reference
-    (its reach is below the base), so skipping it leaves every other delta
-    unchanged.  It takes nested insertions under the count cap, yet is not
-    rare, and defects that only swap in other bytes of a periodic input's
-    unit suffice: two such bytes in 64 KiB of a 13-byte unit leave 26
-    capped runs behind.  At seeds 1, 7 and 16101, 4 to 7 of the benchmark's
-    1,000 short mixed inputs have one, all periodic, and so does one
-    256 KiB periodic input.
-    """
-    base = reach = 0
-    deltas, chs, counts = bytearray(), bytearray(), bytearray()
-    behind: list[int] = []
-    for r in order:
-        first_circle = start[r]
-        delta = first_circle - base
-        if delta > DELTA_MAX:
-            while base < first_circle - 1:
-                hop = min(REBASE_MAX, first_circle - 1 - base)
-                deltas.append(hop)
-                chs.append(0)
-                counts.append(0)
-                base += hop
-            reach = max(reach, base)
-            delta = 1
-        elif delta < DELTA_MIN:
-            behind.append(r)
-            continue
-        deltas.append(delta & 0xFF)
-        chs.append(ch[r])
-        n = count[r]
-        counts.append(n)
-        if first_circle + n > reach:
-            base, reach = first_circle, first_circle + n
-    return (deltas, chs, counts), behind
 
 
 def remove_redundant_entries(

@@ -73,6 +73,15 @@ def test_run_corpus_aborts_on_roundtrip_failure(tmp_path, monkeypatch):
         run_corpus(tmp_path)
 
 
+def test_run_corpus_aborts_on_rle_roundtrip_failure(tmp_path, monkeypatch):
+    (tmp_path / "x.bin").write_bytes(b"HELLO WORLD")
+    import ccz.bench
+
+    monkeypatch.setattr(ccz.bench, "rle_decode", lambda packed: b"corrupted")
+    with pytest.raises(LosslessnessError, match="rle roundtrip mismatch on x.bin"):
+        run_corpus(tmp_path)
+
+
 def test_run_corpus_empty_file_has_zero_factor(tmp_path):
     (tmp_path / "empty.bin").write_bytes(b"")
     report = run_corpus(tmp_path)

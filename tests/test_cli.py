@@ -3,6 +3,8 @@ import pytest
 from ccz import compress
 from ccz.cli import main
 
+from oracles import chain_circles
+
 
 def test_compress_decompress_roundtrip(tmp_path, capsys):
     source = tmp_path / "input.bin"
@@ -174,3 +176,39 @@ def test_verbose_flag_reports_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "benchmarked 1 files" in captured.err
     assert "benchmarked" not in captured.out
+
+    archive = tmp_path / "input.ccz"
+    archive.write_bytes(compress(b"ABABBA"))
+    assert main(["-v", "decompress", str(archive), str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wrote 6 bytes\n"
+
+
+def test_inspect_archive_prints_rebases(tmp_path, capsys):
+    # Every two-circle run is uncompressed, so the 0xFF run of circles
+    # 400-402 is reached through two rebase entries.
+    archive = tmp_path / "chain.ccz"
+    archive.write_bytes(compress(chain_circles(420, triple_circles={400, 401, 402})))
+    assert main(["inspect", str(archive)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "entry 0: rebase advance=255",
+        "entry 1: rebase advance=144",
+        "entry 2: delta=+1 ch=0xff '.' count=3 start_circle=400",
+    ]
+
+
+def test_bench_warns_about_unreadable_files(tmp_path, capsys):
+    # A dangling symlink cannot be read, even by a user who can read any
+    # file; a directory is passed over without a warning.
+    corpus = tmp_path / "corpus"
+    (corpus / "subdir").mkdir(parents=True)
+    (corpus / "x").write_bytes(b"xyz")
+    (corpus / "broken").symlink_to(tmp_path / "missing-target")
+    assert main(["bench", str(corpus)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: skipped broken: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "| x |" in captured.out
+    assert "broken" not in captured.out and "subdir" not in captured.out

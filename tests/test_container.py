@@ -111,6 +111,21 @@ def test_sparse_flag_packing_matches_the_per_bit_reference(bits):
         assert list(unpack_flags(padded, n)) == ref_unpack_flags(padded, n) == list(bits)
 
 
+def test_one_long_stretch_is_unpacked_on_its_own(monkeypatch):
+    # 40,000 alternating flags then 1s: one stretch of bytes other than
+    # 0xFF, covering 61% of the 8,192 packed bytes, is unpacked alone.
+    bits = bytearray([0, 1]) * 20_000 + bytearray([1]) * 25_536
+    packed = pack_flags(bits)
+    sizes = []
+    unpack = container_module._unpack
+    monkeypatch.setattr(
+        container_module, "_unpack", lambda data, n: sizes.append(n) or unpack(data, n)
+    )
+    flags = unpack_flags(packed, len(bits))
+    assert flags == bits and list(flags) == ref_unpack_flags(packed, len(bits))
+    assert sizes == [40_000]
+
+
 @pytest.mark.parametrize("stretches, expected", [(8, 8), (9, 1)])
 def test_flag_spans_end_one_past_the_budget(monkeypatch, stretches, expected):
     # 8,192 flags allow 8 stretches of 0s: each is packed and unpacked on
@@ -285,6 +300,14 @@ def test_serialize_validates_entries():
         serialize(EncodedParts(bytearray(), b"", [CompressedEntry(0, 0, 0)]))
     with pytest.raises(ValueError, match="rebase entry 0 with nonzero character"):
         serialize(EncodedParts(bytearray(), b"", [CompressedEntry(5, 7, 0)]))
+    # Parts whose flags disagree with the literals or the entry counts,
+    # which parse would reject.
+    with pytest.raises(ValueError):
+        serialize(EncodedParts(bytearray([1, 1]), b"", []))
+    with pytest.raises(ValueError):
+        serialize(EncodedParts(bytearray([0, 0]), b"A", []))
+    with pytest.raises(ValueError):
+        serialize(EncodedParts(bytearray([1, 1, 0]), b"", [CompressedEntry(1, 65, 2)]))
 
 
 @given(st.binary(max_size=1024))

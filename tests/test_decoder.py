@@ -37,6 +37,7 @@ class TestUndoDelta:
     def test_single_entry(self):
         live = undo_delta([CompressedEntry(5, ord("X"), 3)])
         assert [(e.ch, e.start, e.count) for e in live] == [(ord("X"), 5, 3)]
+        assert live == [RunNode(ord("X"), 5, 3)]
 
     def test_rebases_accumulate(self):
         live = undo_delta(
@@ -53,6 +54,11 @@ class TestUndoDelta:
             undo_delta([CompressedEntry(0, ord("A"), 2)])
         with pytest.raises(CorruptArchiveError):
             undo_delta([CompressedEntry(3, ord("A"), 2), CompressedEntry(-5, ord("B"), 2)])
+
+    @pytest.mark.parametrize("advance", [0, 256])
+    def test_rejects_rebase_advance_out_of_range(self, advance):
+        with pytest.raises(CorruptArchiveError, match=f"rebase advance {advance} outside"):
+            undo_delta([CompressedEntry(advance, 0, 0), CompressedEntry(1, ord("A"), 2)])
 
 
 def runs_strategy():
