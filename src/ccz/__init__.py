@@ -8,7 +8,7 @@ and ``decompress`` wrap the full pipeline; the submodules expose the
 individual stages.
 """
 
-from .circles import CirclePosition, CircleSegmentation, position_of, split_circles
+from .circles import CircleSegmentation, split_circles
 from .container import (
     ArchiveFormatError,
     CompressedEntry,
@@ -51,7 +51,6 @@ decompress = decode
 
 __all__ = [
     "ArchiveFormatError",
-    "CirclePosition",
     "CircleSegmentation",
     "CompressedEntry",
     "CorruptArchiveError",
@@ -66,7 +65,6 @@ __all__ = [
     "pack_flags",
     "paradox_check",
     "parse",
-    "position_of",
     "remove_redundant_entries",
     "rle_decode",
     "rle_encode",

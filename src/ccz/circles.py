@@ -12,18 +12,11 @@ value recurring in consecutive circles.  Neither the encoder nor the
 decoder calls :func:`split_circles`; each applies the same break rule as
 it goes, the encoder to the input it scans and the decoder to the bytes it
 emits.  :func:`split_circles` serves ``ccz inspect``, the benchmark and
-the tests.
+the tests.  Its result's ``boundaries`` gives each circle's (start,
+length): circle r is ``boundaries[r - 1]``.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import NamedTuple
-
-
-class CirclePosition(NamedTuple):
-    r: int      # 1-based circle index
-    theta: int  # 0-based position within the circle
 
 
 @dataclass(frozen=True)
@@ -35,17 +28,6 @@ class CircleSegmentation:
     @property
     def circle_count(self) -> int:
         return len(self.boundaries)
-
-    @property
-    def total_length(self) -> int:
-        if not self.boundaries:
-            return 0
-        start, length = self.boundaries[-1]
-        return start + length
-
-    def span(self, r: int) -> tuple[int, int]:
-        """(start_offset, length) of circle ``r`` (1-based)."""
-        return self.boundaries[r - 1]
 
     def circles(self, data: bytes) -> list[bytes]:
         """The circle contents of the stream this segmentation was built from."""
@@ -70,11 +52,3 @@ def split_circles(data: bytes) -> CircleSegmentation:
     if data:
         boundaries.append((start, len(data) - start))
     return CircleSegmentation(tuple(boundaries))
-
-
-def position_of(seg: CircleSegmentation, offset: int) -> CirclePosition:
-    """Locate a byte offset as a (circle, theta) coordinate pair."""
-    if offset < 0 or offset >= seg.total_length:
-        raise IndexError(f"offset {offset} outside segmented input of length {seg.total_length}")
-    r = bisect_right(seg.boundaries, offset, key=itemgetter(0))
-    return CirclePosition(r, offset - seg.boundaries[r - 1][0])

@@ -92,14 +92,16 @@ without it the base stays lower.  The same walk finds the runs too far
 behind the reference base to be serialized, which are uncompressed as
 well.  The walk emits the entries as three byte columns (delta, byte,
 count) holding what the archive stores, so :func:`ccz.compress` writes
-them as they are; only :func:`encode` and :func:`delta_encode_entries`
-build :class:`CompressedEntry` records from them.  :func:`encode` clears
-the flags of both kinds of uncompressed runs (a pruned run covers two
-circles, so its flags sit at ``first`` and ``last``) and builds the
-literal stream once, at the end.  Where the 0 flags form at most one
-stretch per 256 input bytes, as on positional inputs, it joins the input
-slices of those stretches (none at all when every byte is flagged);
-otherwise it selects the 0-flagged bytes from the whole input.  Pruning
+them as they are; only :func:`encode`, :func:`trace_encode` and
+:func:`delta_encode_entries` build :class:`CompressedEntry` records from
+them.  :func:`_encode_pipeline`, which :func:`ccz.compress`,
+:func:`encode` and :func:`trace_encode` share, clears the flags of both
+kinds of uncompressed runs (a pruned run covers two circles, so its flags
+sit at ``first`` and ``last``) and builds the literal stream once, at the
+end.  Where the 0 flags form at most one stretch per 256 input bytes, as
+on positional inputs, it joins the input slices of those stretches (none
+at all when every byte is flagged); otherwise it selects the 0-flagged
+bytes from the whole input.  Pruning
 is a split of the run ids on ``count == 2``, and delta coding works on
 run ids and the columns; the public :func:`remove_redundant_entries`
 makes the same split of a list of :class:`RunNode`, and
@@ -180,7 +182,11 @@ class EncoderState:
         self.feed_prefix(len(self.data))
 
     def feed_prefix(self, upto: int) -> None:
-        """Process all offsets below ``upto``, opening a circle that starts there."""
+        """Process all offsets below ``upto``.
+
+        The state left is the one a scan of ``data[:upto]`` leaves, with the
+        flags at and past ``upto`` still 0.
+        """
         data, flags, chains, where = self.data, self.flags, self.chains, self.where
         run_ch, start, count, first, last, prev = (
             self.ch, self.start, self.count, self.first, self.last, self.prev
@@ -292,11 +298,6 @@ class EncoderState:
                 matched.append(r)
                 matched_occ.append(q)
         self._pos = max(self._pos, upto)
-        # Open a circle that starts at upto, as the loop would on its first byte.
-        if self._pos < len(data) and where[data[self._pos]] >= cs:
-            circle += 1
-            ps, cs, cursor = cs, self._pos, -1
-            active, active_occ, matched, matched_occ = matched, matched_occ, [], []
         self.last_run = last_run
         self.circle, self.cs, self.ps, self.cursor = circle, cs, ps, cursor
         self.active, self.active_occ = active, active_occ

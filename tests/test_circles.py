@@ -1,7 +1,6 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from ccz.circles import CirclePosition, position_of, split_circles
+from ccz.circles import split_circles
 
 
 def circle_texts(data):
@@ -23,25 +22,6 @@ def test_split_empty():
 
 def test_split_repeated_byte():
     assert circle_texts(b"AAAA") == [b"A", b"A", b"A", b"A"]
-
-
-def test_position_examples():
-    seg = split_circles(b"THEPHONEBLAH")
-    assert position_of(seg, 4) == CirclePosition(2, 0)
-    assert position_of(seg, 0) == CirclePosition(1, 0)
-    seg = split_circles(b"ABABBA")
-    assert position_of(seg, 5) == CirclePosition(3, 1)
-    assert position_of(seg, 0) == CirclePosition(1, 0)
-
-
-def test_position_out_of_range():
-    seg = split_circles(b"ABC")
-    with pytest.raises(IndexError):
-        position_of(seg, 3)
-    with pytest.raises(IndexError):
-        position_of(seg, -1)
-    with pytest.raises(IndexError):
-        position_of(split_circles(b""), 0)
 
 
 @given(st.binary(max_size=2048))
@@ -68,13 +48,3 @@ def test_circle_count_bounds(data):
     n = len(data)
     count = split_circles(data).circle_count
     assert -(-n // 256) <= count <= n
-
-
-@given(st.binary(min_size=1, max_size=512))
-def test_position_of_consistent(data):
-    seg = split_circles(data)
-    for offset in range(len(data)):
-        r, theta = position_of(seg, offset)
-        start, length = seg.span(r)
-        assert start + theta == offset
-        assert theta < length

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ccz
 from ccz import compress
 from ccz.cli import main
 
@@ -212,3 +218,34 @@ def test_bench_warns_about_unreadable_files(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert "| x |" in captured.out
     assert "broken" not in captured.out and "subdir" not in captured.out
+
+
+def run_module(*args):
+    # python -m ccz.cli goes through entrypoint() and the __main__ guard, as
+    # the installed ccz script goes through entrypoint().
+    env = dict(os.environ, PYTHONPATH=str(Path(ccz.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "ccz.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_roundtrip(tmp_path):
+    data = b"ABCDEFG" * 300 + b"THEPHONEBLAH"
+    source, archive, restored = tmp_path / "in.bin", tmp_path / "in.ccz", tmp_path / "out.bin"
+    source.write_bytes(data)
+    done = run_module("compress", source, archive)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"original={len(data)} ")
+    done = run_module("decompress", archive, restored)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert restored.read_bytes() == data
+
+
+def test_module_entry_point_reports_a_truncated_archive(tmp_path):
+    truncated, output = tmp_path / "truncated.ccz", tmp_path / "out.bin"
+    truncated.write_bytes(compress(b"ABABBA")[:10])
+    done = run_module("decompress", truncated, output)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    assert not output.exists()

@@ -215,7 +215,7 @@ def test_decode_circles_match_input_segmentation(data):
         assert len(matches) == seg.circle_count
     for idx, occ in occurrences.items():
         for circle, offset in occ.items():
-            start, length = seg.span(circle)
+            start, length = seg.boundaries[circle - 1]
             assert start <= offset < start + length
 
 

@@ -252,7 +252,7 @@ class TestParadoxCheck:
 
     def test_nothing_matched_yet(self):
         state = EncoderState(b"ABAB")
-        state.feed_prefix(2)  # circle 2 just opened
+        state.feed_prefix(2)  # circle 1 scanned, so no previous circle
         assert paradox_check(state, ord("A")) is False
 
     def test_order_preserving_byte_is_not_paradox(self):
@@ -327,6 +327,7 @@ def test_feed_prefix_splits_change_nothing(name):
             assert [paradox_check(state, c) for c in range(256)] == [
                 paradox_check(once, c) for c in range(256)
             ]
+            _assert_scans_prefix(state, cut)
         state.run()
         assert bytes(state.flags) == bytes(whole.flags)
         assert _run_tuples(state) == _run_tuples(whole)
@@ -339,15 +340,27 @@ def test_feed_prefix_splits_change_nothing(name):
     st.data(),
 )
 def test_scan_circles_match_split_circles(data, draw):
-    # After feed_prefix(cut) the current circle is the one holding data[cut]
-    # (or the last one), so split_circles of data[:cut + 1] ends with it.
+    # After feed_prefix(cut) the current circle is the last one of data[:cut].
     state = EncoderState(data)
     for cut in sorted(draw.draw(st.lists(st.integers(1, len(data)), max_size=5))):
         state.feed_prefix(cut)
-        starts = [start for start, _ in split_circles(data[:cut + 1]).boundaries]
+        starts = [start for start, _ in split_circles(data[:cut]).boundaries]
         assert state.circle == len(starts)
         assert state.cs == starts[-1]
         assert state.ps == (starts[-2] if len(starts) > 1 else 0)
+        _assert_scans_prefix(state, cut)
+
+
+def _assert_scans_prefix(state, cut):
+    # feed_prefix(cut) leaves the state of a scan of data[:cut], down to the
+    # paradox answers, and flags nothing at or past cut.
+    prefix = EncoderState(state.data[:cut])
+    prefix.run()
+    assert _snapshot(state, cut) == _snapshot(prefix)
+    assert not any(state.flags[cut:])
+    assert [paradox_check(state, c) for c in range(256)] == [
+        paradox_check(prefix, c) for c in range(256)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -524,7 +537,8 @@ def test_staged_calls_compose_to_compress(data):
     assert serialize(EncodedParts(flags, literals, entries)) == compress(data)
 
 
-def _snapshot(state):
+def _snapshot(state, upto=None):
+    # The scan state, with the flags below upto (all of them by default).
     def runs(ids):
         return [
             (r, state.ch[r], state.start[r], state.count[r], state.first[r], state.last[r])
@@ -533,8 +547,8 @@ def _snapshot(state):
 
     return (
         state.circle, state.cursor, state.ps, state.cs, state._pos, state.active_occ,
-        state.matched_occ, runs(state.active), runs(state.matched), bytes(state.flags),
-        state.chains,
+        state.matched_occ, runs(state.active), runs(state.matched), bytes(state.flags[:upto]),
+        state.chains, state.where,
     )
 
 
