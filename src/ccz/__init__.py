@@ -27,7 +27,6 @@ from .encoder import (
     _encode_pipeline,
     delta_encode_entries,
     encode,
-    paradox_check,
     remove_redundant_entries,
     trace_encode,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "delta_encode_entries",
     "encode",
     "pack_flags",
-    "paradox_check",
     "parse",
     "remove_redundant_entries",
     "rle_decode",

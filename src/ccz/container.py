@@ -88,7 +88,7 @@ class RunNode(NamedTuple):
 
     ch: int
     start: int
-    count: int = 2
+    count: int
     occurrences: tuple[int, ...] = ()
 
 

@@ -98,15 +98,16 @@ them.  :func:`_encode_pipeline`, which :func:`ccz.compress`,
 :func:`encode` and :func:`trace_encode` share, clears the flags of both
 kinds of uncompressed runs (a pruned run covers two circles, so its flags
 sit at ``first`` and ``last``) and builds the literal stream once, at the
-end.  Where the 0 flags form at most one stretch per 256 input bytes, as
-on positional inputs, it joins the input slices of those stretches (none
-at all when every byte is flagged); otherwise it selects the 0-flagged
-bytes from the whole input.  Pruning
-is a split of the run ids on ``count == 2``, and delta coding works on
-run ids and the columns; the public :func:`remove_redundant_entries`
-makes the same split of a list of :class:`RunNode`, and
-:func:`delta_encode_entries` lays one out as columns and calls the same
-code.
+end.  A run keeps its flags exactly when it is serialized, so
+:func:`trace_encode` tells kept runs from uncompressed ones by the flag at
+``first`` alone.  Where the 0 flags form at most one stretch per 256
+input bytes, as on positional inputs, it joins the input slices of those
+stretches (none at all when every byte is flagged); otherwise it selects
+the 0-flagged bytes from the whole input.  Pruning is a split of the run
+ids on ``count == 2``, and delta coding works on run ids and the columns;
+the public :func:`remove_redundant_entries` makes the same split of a
+list of :class:`RunNode`, and :func:`delta_encode_entries` lays one out
+as columns and calls the same code.
 """
 
 from bisect import bisect_left, bisect_right
@@ -131,7 +132,12 @@ _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 @dataclass(frozen=True)
 class EncodeTrace:
-    """Encoder output plus which runs survived and which were uncompressed."""
+    """Encoder output plus the runs found, split by whether they were serialized.
+
+    ``runs`` holds the runs the entries encode and ``removed`` those
+    uncompressed again: two-circle runs and runs left behind the
+    reference base.  Both are in theta order.
+    """
 
     parts: EncodedParts
     runs: tuple[RunNode, ...]
@@ -347,26 +353,6 @@ def _repeats(data: bytes, unit: bytes, q: int, present: int, limit: int) -> int:
     )
 
 
-def paradox_check(state: EncoderState, c: int) -> bool:
-    """Would admitting ``c`` next cross a run already matched this circle?
-
-    True exactly when ``c`` has an aligned extension or start available but
-    any placement would swap order with a run matched earlier in the
-    current circle.
-    """
-    # where[c] may already be c's offset in the current circle, so search
-    # the previous one.
-    p = state.data.find(c, state.ps, state.cs)
-    if p < 0:
-        return False
-    r = state.chains[c]
-    if r >= 0 and state.last[r] == p and state.count[r] < MAX_COUNT:
-        return bisect_left(state.active_occ, p) <= state.cursor
-    if state.flags[p]:
-        return False
-    return bisect_right(state.active_occ, p) <= state.cursor
-
-
 def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
     """Delta encode run starts against the running reference.
 
@@ -429,17 +415,16 @@ def _uncompress(
 
 
 def _encode_pipeline(data: bytes) -> tuple[
-    bytearray, bytes, tuple[bytearray, bytearray, bytearray],
-    EncoderState, list[int], list[int], list[int],
+    bytearray, bytes, tuple[bytearray, bytearray, bytearray], EncoderState
 ]:
-    """Flags, literals and entry columns, then the scan state and the ids
-    of the runs found, of those longer than two circles, and of those left
-    behind.
+    """Flags, literals and entry columns, then the scan state.
 
     ``compress`` writes the first three straight into the archive.  Every
     two-circle run is uncompressed; where one split a forward gap of more
     than 127 circles, :func:`_delta_encode` bridges the gap with rebase
-    entries.
+    entries.  Runs left behind the reference base are uncompressed too, so
+    a run of the state is serialized exactly when the flag at its
+    ``first`` offset is still 1.
     """
     state = EncoderState(data)
     state.run()
@@ -460,18 +445,19 @@ def _encode_pipeline(data: bytes) -> tuple[
         literals = bytes(compress(data, flags.translate(_INVERT)))
     else:
         literals = b"".join([data[i:j] for i, j in spans])
-    return flags, literals, columns, state, found, kept, behind
+    return flags, literals, columns, state
 
 
 def trace_encode(data: bytes) -> EncodeTrace:
     """Encode ``data`` and report every kept and uncompressed run."""
-    flags, literals, columns, state, found, kept, behind = _encode_pipeline(data)
-    behind_set = set(behind)
-    removed = [r for r in found if state.count[r] == 2] + behind
+    flags, literals, columns, state = _encode_pipeline(data)
+    runs: list[RunNode] = []
+    removed: list[RunNode] = []
+    first = state.first
+    for r in state.theta_order():
+        (runs if flags[first[r]] else removed).append(state.view(r))
     return EncodeTrace(
-        EncodedParts(flags, literals, _entry_records(*columns)),
-        tuple(state.view(r) for r in kept if r not in behind_set),
-        tuple(state.view(r) for r in removed),
+        EncodedParts(flags, literals, _entry_records(*columns)), tuple(runs), tuple(removed)
     )
 
 

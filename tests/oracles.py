@@ -103,6 +103,58 @@ def ref_decode(archive):
     return bytes(out), matches, occurrences
 
 
+def ref_scan(data):
+    """Spec-literal run scan: the flags and the runs in theta order.
+
+    Follows the rule in the encoder's module docstring byte by byte, on a
+    circle split of its own.  For each circle r it keeps the runs that end
+    at r-1, in theta order, with their offsets in r-1; the cursor is an
+    index into that list.  The theta order is a plain list of run indices.
+    Returns ``(flags, runs)`` with ``runs`` as ``(ch, start, count,
+    offsets)`` tuples.
+    """
+    circles, seen = [[]], set()
+    for q, c in enumerate(data):
+        if c in seen:
+            circles.append([])
+            seen = set()
+        seen.add(c)
+        circles[-1].append(q)
+    flags = bytearray(len(data))
+    runs = []    # [ch, start, count, offsets]
+    order = []   # indices into runs, in theta order
+    ending = []  # runs ending at the circle before, in theta order
+    for r in range(2, len(circles) + 1):
+        before = {data[p]: p for p in circles[r - 2]}
+        occ = [runs[i][3][-1] for i in ending]  # their offsets in circle r-1
+        cursor = -1
+        for q in circles[r - 1]:
+            p = before.get(data[q])
+            if p is None:
+                continue
+            if p in occ:  # c's run ends at r-1: extend it
+                k = occ.index(p)
+                run = runs[ending[k]]
+                if run[2] == 127 or k <= cursor:  # capped, or it would cross
+                    continue
+                run[2] += 1
+                run[3].append(q)
+            else:  # p is unconsumed: start a two-circle run
+                k = sum(o < p for o in occ)
+                if k <= cursor:  # the paradox case: it would cross
+                    continue
+                i = len(runs)
+                runs.append([data[q], r - 1, 2, [p, q]])
+                order.insert(order.index(ending[k]) if k < len(ending) else len(order), i)
+                ending.insert(k, i)
+                occ.insert(k, p)
+                flags[p] = 1
+            flags[q] = 1
+            cursor = k
+        ending = [i for i in ending if runs[i][1] + runs[i][2] - 1 == r]
+    return bytes(flags), [(c, s, n, tuple(offs)) for c, s, n, offs in (runs[i] for i in order)]
+
+
 def ref_pack_flags(bits):
     """Pack 0/1 flags one bit at a time: bit i is bit 7-(i%8) of byte i//8, padding 0."""
     out = bytearray((len(bits) + 7) // 8)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ccz
 import ccz.encoder as encoder_module
@@ -20,12 +20,11 @@ from ccz.encoder import (
     RunNode,
     delta_encode_entries,
     encode,
-    paradox_check,
     remove_redundant_entries,
     trace_encode,
 )
 
-from oracles import chain_circles, redundancy_violations, underflow_input
+from oracles import chain_circles, redundancy_violations, ref_scan, underflow_input
 from test_acceptance import _steady_edges
 
 
@@ -244,41 +243,6 @@ class TestRedundantRemoval:
         assert redundancy_violations(parse(compress(data)).entries) == []
 
 
-class TestParadoxCheck:
-    def test_crossing_after_matched_run(self):
-        state = EncoderState(b"ABABBA")
-        state.feed_prefix(5)  # circle 3 open, 'B' at offset 4 already matched
-        assert paradox_check(state, ord("A")) is True
-
-    def test_nothing_matched_yet(self):
-        state = EncoderState(b"ABAB")
-        state.feed_prefix(2)  # circle 1 scanned, so no previous circle
-        assert paradox_check(state, ord("A")) is False
-
-    def test_order_preserving_byte_is_not_paradox(self):
-        state = EncoderState(b"THEPHONEBLAH")
-        state.feed_prefix(7)  # circle 2: H matched, O and N literal
-        assert paradox_check(state, ord("E")) is False
-
-    @pytest.mark.parametrize(
-        "data, cut, byte, expected",
-        [
-            # In both circles: where[c] points into the current circle, so the
-            # previous circle must be searched for c's offset there.
-            (b"ABBA", 4, "A", True),   # start at offset 0 would cross B's run
-            (b"ABBA", 4, "B", False),  # its previous offset is already flagged
-            (b"ABABAB", 4, "A", False),  # extend, nothing matched yet
-            (b"ABBA", 3, "A", True),   # start, crossing B's run
-            (b"ABBC", 4, "C", False),  # only in the current circle
-            (b"ABBA", 4, "C", False),  # in neither circle
-        ],
-    )
-    def test_pinned_cases(self, data, cut, byte, expected):
-        state = EncoderState(data)
-        state.feed_prefix(cut)
-        assert paradox_check(state, ord(byte)) is expected
-
-
 def _split_inputs():
     """Each input with three cuts: right after a copy of repeated circles that a
     new byte extends, at the end of a copy that ``upto`` stops (a state fed
@@ -324,9 +288,6 @@ def test_feed_prefix_splits_change_nothing(name):
             for again in (cut, cut - 1):
                 once.feed_prefix(again)
                 assert _snapshot(once) == _snapshot(state)
-            assert [paradox_check(state, c) for c in range(256)] == [
-                paradox_check(once, c) for c in range(256)
-            ]
             _assert_scans_prefix(state, cut)
         state.run()
         assert bytes(state.flags) == bytes(whole.flags)
@@ -352,15 +313,12 @@ def test_scan_circles_match_split_circles(data, draw):
 
 
 def _assert_scans_prefix(state, cut):
-    # feed_prefix(cut) leaves the state of a scan of data[:cut], down to the
-    # paradox answers, and flags nothing at or past cut.
+    # feed_prefix(cut) leaves the state of a scan of data[:cut] and flags
+    # nothing at or past cut.
     prefix = EncoderState(state.data[:cut])
     prefix.run()
     assert _snapshot(state, cut) == _snapshot(prefix)
     assert not any(state.flags[cut:])
-    assert [paradox_check(state, c) for c in range(256)] == [
-        paradox_check(prefix, c) for c in range(256)
-    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -537,18 +495,31 @@ def test_staged_calls_compose_to_compress(data):
     assert serialize(EncodedParts(flags, literals, entries)) == compress(data)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_STAGED_INPUTS)
+@example(b"ABABBA")  # the paradox case: the last A would cross B's run
+@example(b"THEPHONEBLAH")
+@example(b"ABBA")
+@example(b"ABBC")
+@example(b"ABABAB")
+@example(bytes(16257))  # whole cap cycles, and one byte into the next
+def test_scan_follows_the_reference_rule(data):
+    # The scan, bulk copies and cap cycles included, finds the runs and
+    # flags that the rule read byte by byte finds.
+    state = EncoderState(data)
+    state.run()
+    flags, runs = ref_scan(data)
+    assert bytes(state.flags) == flags
+    assert state.run_list() == runs
+
+
 def _snapshot(state, upto=None):
     # The scan state, with the flags below upto (all of them by default).
-    def runs(ids):
-        return [
-            (r, state.ch[r], state.start[r], state.count[r], state.first[r], state.last[r])
-            for r in ids
-        ]
-
     return (
-        state.circle, state.cursor, state.ps, state.cs, state._pos, state.active_occ,
-        state.matched_occ, runs(state.active), runs(state.matched), bytes(state.flags[:upto]),
-        state.chains, state.where,
+        state.circle, state.cursor, state.ps, state.cs, state._pos, state.active,
+        state.active_occ, state.matched, state.matched_occ, bytes(state.flags[:upto]),
+        state.chains, state.where, state.ch, state.start, state.count, state.first,
+        state.last, state.prev, state.last_run,
     )
 
 
