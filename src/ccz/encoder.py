@@ -57,30 +57,37 @@ at the index just past the cursor, and no start or paradox can occur.  So
 k repeats extend every run by k circles, in the same order, which is done
 at once (each count grows by k and each ``last`` by k circle sizes, and
 ``where``, ``ps`` and ``cs`` move to the last two repeats), up to the
-first of the count cap, ``upto`` and a changed byte; the byte loop takes
-over from there.  It resumes after the copy by moving its bytes iterator
-there in one step, through the iterator's pickling hook (``__setstate__``),
-as the decoder moves its flag iterator, so the copied bytes are not
-stepped over one at a time.  Only stretches of at least
-``2 + 16 // size`` repeats are copied, so inputs without them pay one
-``startswith`` per fully matched circle.  That test is the steady-copy
-gate, written inline in :meth:`EncoderState.feed_prefix` as is the
-cap-cycle gate below; only a gate that passes calls :func:`_repeats`,
-the one search for how far the repeats go.
+first of ``upto`` and a changed byte; the byte loop takes over from
+there.  It resumes after the copy by moving its bytes iterator there in
+one step, through the iterator's pickling hook (``__setstate__``), as the
+decoder moves its flag iterator, so the copied bytes are not stepped over
+one at a time.  Only stretches of at least ``2 + 16 // size`` repeats are
+copied, so inputs without them pay one ``startswith`` per fully matched
+circle.  That test is the steady-copy gate, written inline in
+:meth:`EncoderState.feed_prefix`; only a gate that passes calls
+:func:`_repeats`, the one search for how far the repeats go.
 
-A copy that leaves every run at the cap (so the runs had equal counts)
-goes on across whole cap cycles of 127 repeats.  Past the cap the byte loop
-leaves the next circle, B, all literal for now: each byte's run is capped
-and its occurrence in the circle before is flagged.  In circle B+1 no run
-is active, so each byte starts a run at the tail of the theta order, in
-offset order, with its first occurrence in B; from B+2 on a copy extends
-these runs to the cap at B+126.  That is the state of the first cap again,
-127 circles on, so while the repeats fill whole cycles within ``upto``
-(one ``startswith``, then a binary search) each cycle is added at once:
-per byte, a run of count 127 starting at B, and the whole span flagged.
-``where``, ``ps``, ``cs``, ``chains``, ``active``, ``matched`` and the
-cursor are left as the last cycle's copy leaves them.  A partial cycle, a
-changed byte or ``upto`` is left to the byte loop and the copy.
+The copy goes on through the count cap, as the byte loop does.  Say the
+run of byte ``c`` reaches count 127 in circle B-1.  In circle B, ``c``
+is literal: its run is capped and its occurrence in B-1 is flagged.  In
+circle B+1 it starts a run with start B, whose first occurrence is in B.
+That run goes into the theta order just before the run covering B of the
+next byte in offset order that does not cap in B-1 too, or at the tail
+if there is none, and from B+2 on it is extended to the cap at B+126.
+So each byte has one cap event in every 127 circles, at a phase of its
+own, and the events of every such window come in the same order: by
+circle, then by offset.  A copy through caps applies them in closed
+form, in :meth:`EncoderState._cap_copy`.  Each run of circle r-1 grows
+up to its cap.  The new runs' ids, bytes, starts, first and last offsets
+and counts come from one template per window.  Only the ``prev``
+insertions take a loop, and the successor of each byte is found once per
+copy; when every byte caps in the same circle, the insertions are one
+``range`` at the tail.  The byte loop makes a run only in the circle
+after its byte was literal, so a copy never ends in a circle where a
+byte is literal: its end backs off past those circles, which the byte
+loop then scans.  The copy flags its whole span and leaves ``where``,
+``ps``, ``cs``, ``chains``, ``active``, ``matched`` and the cursor as
+the byte loop leaves them at the end of its last circle.
 
 After the scan, every run covering only two circles is uncompressed
 again: a 3-byte entry covering 2 bytes is a net loss.  Then one walk over
@@ -112,7 +119,7 @@ as columns and calls the same code.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, cycle
 from typing import Iterable, Sequence
 
 from .container import (
@@ -221,43 +228,30 @@ class EncoderState:
                         unit = data[ps:q]
                         least = 2 + _STEADY_BYTES // size
                         if data.startswith(unit * least, q):
-                            # Copy no run past the count cap and no byte past upto.
+                            reps = _repeats(data, unit, q, least, (upto - q) // size)
+                            # The first run to reach the cap leaves its byte literal
+                            # in circle slack of the copy, counted from 0.
                             slack = MAX_COUNT - max(map(count.__getitem__, active))
-                            reps = _repeats(data, unit, q, least, min(slack, (upto - q) // size))
+                            if reps > slack:
+                                # Byte i is literal in the circles gaps[i] + 127k of
+                                # the copy, and the copy ends in none of them.
+                                gaps = [MAX_COUNT - count[r] for r in active]
+                                phases = set(gaps)
+                                while reps and (reps - 1) % MAX_COUNT in phases:
+                                    reps -= 1
                     if reps:
                         # Every run of the previous circle extends once per repeat,
-                        # in order; leave the state the byte loop would leave.
-                        span = reps * size
-                        for r in active:
-                            count[r] += reps
-                            last[r] += span
+                        # in order, up to its cap; leave the state the byte loop
+                        # would leave.
+                        end = q + reps * size
+                        if reps > slack:
+                            last_run = self._cap_copy(active, gaps, unit, circle, q, reps, last_run)
+                        else:
+                            for r in active:
+                                count[r] += reps
+                                last[r] += reps * size
                         circle += reps - 1
-                        end, cycle, full = q + span, MAX_COUNT * size, 0
-                        if min(map(count.__getitem__, active)) == MAX_COUNT:
-                            looped = unit * MAX_COUNT
-                            if data.startswith(looped, end):
-                                full = _repeats(data, looped, end, 1, (upto - end) // cycle)
-                        if full:
-                            # Whole cap cycles: in each, every byte of the unit
-                            # starts a run at the tail that is copied to the cap
-                            # (see the module docstring).
-                            n = len(run_ch)
-                            firsts = [end + cycle * j + i for j in range(full) for i in range(size)]
-                            run_ch += unit * full
-                            start += [circle + 1 + MAX_COUNT * j for j in range(full) for _ in unit]
-                            count += [MAX_COUNT] * len(firsts)
-                            first += firsts
-                            last += [f + cycle - size for f in firsts]
-                            prev.append(last_run)
-                            prev += range(n, n + len(firsts) - 1)
-                            last_run = len(run_ch) - 1
-                            active = list(range(last_run + 1 - size, last_run + 1))
-                            for b, r in zip(unit, active):
-                                chains[b] = r
-                            circle += full * MAX_COUNT
-                            span += full * cycle
-                            end += full * cycle
-                        flags[q:end] = b"\x01" * span
+                        flags[q:end] = b"\x01" * (end - q)
                         ps, cs = end - 2 * size, end - size
                         for off, b in enumerate(data[cs:end], cs):
                             where[b] = off
@@ -309,6 +303,83 @@ class EncoderState:
         self.active, self.active_occ = active, active_occ
         self.matched, self.matched_occ = matched, matched_occ
 
+    def _cap_copy(
+        self, active: list[int], gaps: list[int], unit: bytes, circle: int, q: int, reps: int,
+        last_run: int,
+    ) -> int:
+        """The run columns of a steady copy through count caps; returns ``last_run``.
+
+        The copy holds ``reps`` repeats of ``unit`` from offset ``q``, its
+        first circle being ``circle``.  ``active`` holds the runs of the
+        circle before in offset order, and byte i of the unit is literal in
+        the circles ``gaps[i] + 127k`` of the copy, counted from 0 (see the
+        module docstring).  Each run of ``active`` grows up to its cap.
+        Each literal circle starts a run of its byte there, made in the next
+        circle, so the runs from the literal circles before the copy's last
+        one are made here.  Every window of 127 circles has one literal
+        circle per byte, in the same order: by circle, then by offset.
+        ``active`` and ``chains`` are left holding each byte's newest run.
+        """
+        size = len(unit)
+        run_ch, start, count, first, last, prev = (
+            self.ch, self.start, self.count, self.first, self.last, self.prev
+        )
+        for r, g in zip(active, gaps):
+            g = min(g, reps)
+            count[r] += g
+            last[r] += g * size
+        n0 = len(run_ch)
+        n = sum((reps + MAX_COUNT - 2 - g) // MAX_COUNT for g in gaps)
+        order = sorted(range(size), key=gaps.__getitem__)
+        opens = [circle + gaps[i] for i in order]
+        offs = [q + gaps[i] * size + i for i in order]
+        run_ch += (bytes(map(unit.__getitem__, order)) * (n // size + 1))[:n]
+        start += [w + g for w in range(0, reps - 1, MAX_COUNT) for g in opens]
+        first += [w + f for w in range(0, (reps - 1) * size, MAX_COUNT * size) for f in offs]
+        del start[n0 + n:], first[n0 + n:]
+        count += [MAX_COUNT] * n
+        last += [f + (MAX_COUNT - 1) * size for f in first[n0:]]
+        for r in range(max(n0, n0 + n - size), n0 + n):
+            k = circle + reps - start[r]  # the runs still open at the end
+            if k < MAX_COUNT:
+                count[r], last[r] = k, first[r] + (k - 1) * size
+        if len(set(gaps)) == 1:
+            # Every byte caps at once, so each new run goes at the tail.
+            prev.append(last_run)
+            prev += range(n0, n0 + n - 1)
+            last_run = n0 + n - 1
+        else:
+            # A new run goes before the run of its byte's successor, the next
+            # byte in offset order that caps in another circle, or at the tail
+            # if there is none.  That run is the successor's run from the same
+            # window or the one before: ``ahead`` holds its place relative to
+            # the new run in ``ids``, which lists the runs of the circle before
+            # the copy in event order, then the new runs.
+            rank = sorted(range(size), key=order.__getitem__)
+            ahead, succ = [None] * size, None
+            for i in range(size - 1, -1, -1):
+                if succ is not None:
+                    a = rank[succ] - rank[i]
+                    ahead[rank[i]] = a - size if gaps[succ] > gaps[i] else a
+                if i and gaps[i - 1] != gaps[i]:
+                    succ = i
+            ids = [active[i] for i in order] + list(range(n0, n0 + n))
+            for k, a in zip(range(size, size + n), cycle(ahead)):
+                r = ids[k]
+                if a is None:
+                    prev.append(last_run)
+                    last_run = r
+                else:
+                    s = ids[k + a]
+                    prev.append(prev[s])
+                    prev[s] = r
+        for k in range(max(0, n - size), n):
+            active[order[k % size]] = n0 + k
+        chains = self.chains
+        for b, r in zip(unit, active):
+            chains[b] = r
+        return last_run
+
     def theta_order(self) -> list[int]:
         """The ids of all runs in theta (serialization) order."""
         prev = self.prev
@@ -340,17 +411,22 @@ def _repeats(data: bytes, unit: bytes, q: int, present: int, limit: int) -> int:
 
     ``present`` copies are known to be there: ``feed_prefix`` calls this
     only once its inline gate, one ``startswith`` of ``present`` copies,
-    has passed.  It is the encoder's only repeat search, for both the
-    steady copy (``unit`` one circle) and the cap cycles (``unit`` 127
-    circles).
+    has passed.  It is the encoder's only repeat search.  It gallops: the
+    count of copies found doubles (from ``present``, or from 1) until one
+    test fails or ``limit`` is reached, and a binary search between the
+    last count found and the first one missing follows.  Each test reads
+    only the copies past those already found, so the bytes read scale with
+    the repeats found, not with the rest of ``data``.
     """
-    if limit <= present:
-        return limit
-    if data.startswith(unit * limit, q):
-        return limit
-    return present + bisect_left(
-        range(present + 1, limit), True, key=lambda m: not data.startswith(unit * m, q)
-    )
+    lo, hi = min(present, limit), limit + 1  # lo copies are there; hi are not, or hi > limit
+    growing = True
+    while hi - lo > 1:
+        m = min(2 * lo or 1, limit) if growing else (lo + hi) // 2
+        if data.startswith(unit * (m - lo), q + lo * len(unit)):
+            lo = m
+        else:
+            hi, growing = m, False
+    return lo
 
 
 def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:

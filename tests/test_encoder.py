@@ -321,67 +321,83 @@ def _assert_scans_prefix(state, cut):
     assert not any(state.flags[cut:])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
-    st.lists(st.integers(0, 255), min_size=1, max_size=16, unique=True).map(bytes),
-    st.integers(1, 3000),
+    st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True).map(bytes),
+    st.integers(1, 40_000),
     st.binary(max_size=40),
     st.binary(max_size=40),
-    st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), max_size=2),
+    st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), max_size=4),
     st.data(),
 )
-def test_cap_cycles_roll_over_as_the_byte_loop(unit, repeats, prefix, suffix, defects, draw):
-    # A step shorter than one cap cycle (127 circles of the unit) never rolls
-    # a cycle over in one step, so stepping stands for the byte loop.
-    data = bytearray(prefix + unit * repeats + suffix)
-    for at, byte in defects:
-        data[int(at * len(data))] = byte
-    data = bytes(data)
-    whole = EncoderState(data)
+def test_cap_cycles_roll_over_as_the_byte_loop(unit, n, prefix, suffix, defects, draw):
+    # Defects that swap in another byte of the unit restart runs at other
+    # circles, so the runs of one copy cap in several phases.  A state fed one
+    # byte at a time copies at most one one-byte circle per call: it stands
+    # for the byte loop, and ref_scan for the rule.
+    data = bytearray((unit * (n // len(unit) + 1))[:n])
+    for at, i in defects:
+        data[int(at * n)] = unit[i % len(unit)]
+    data = prefix + bytes(data) + suffix
+    whole, stepped, bytewise = EncoderState(data), EncoderState(data), EncoderState(data)
     whole.run()
-    stepped = EncoderState(data)
     fed = 0
     while fed < len(data):
-        fed = min(fed + draw.draw(st.integers(1, 127 * len(unit) - 1)), len(data))
+        fed = min(fed + draw.draw(st.integers(1, 127 * len(unit))), len(data))
         stepped.feed_prefix(fed)
-    assert bytes(whole.flags) == bytes(stepped.flags)
-    assert _run_tuples(whole) == _run_tuples(stepped)
-    assert _snapshot(whole) == _snapshot(stepped)
+    for fed in range(1, len(data) + 1):
+        bytewise.feed_prefix(fed)
+    assert _snapshot(whole) == _snapshot(stepped) == _snapshot(bytewise)
+    flags, runs = ref_scan(data)
+    assert bytes(whole.flags) == flags
+    assert whole.run_list() == runs
+
+
+def _repeat_searches(monkeypatch, data):
+    """How often a scan of ``data`` calls _repeats."""
+    calls = []
+    repeats = encoder_module._repeats
+
+    def counted(*args):
+        calls.append(args)
+        return repeats(*args)
+
+    monkeypatch.setattr(encoder_module, "_repeats", counted)
+    EncoderState(data).run()
+    return len(calls)
 
 
 def test_zeros_roll_cap_cycles_over_in_one_step(monkeypatch):
     # 64 KiB of zeros is 516 cap cycles, and 64 KiB of a 7-byte unit 73;
     # rolling each over in the byte loop would search for repeats twice in
     # each cycle.
-    calls = []
-    repeats = encoder_module._repeats
-
-    def counted(data, unit, q, *rest):
-        calls.append(q)
-        return repeats(data, unit, q, *rest)
-
-    monkeypatch.setattr(encoder_module, "_repeats", counted)
     for data in bytes(65536), b"ABCDEFG" * 9363:
-        calls.clear()
-        EncoderState(data).run()
-        assert len(calls) <= 8, data[:7]
+        assert _repeat_searches(monkeypatch, data) <= 8, data[:7]
 
 
-@pytest.mark.parametrize("data", [bytes(262144), b"ABCDEFG" * 9363], ids=["zeros", "unit"])
-def test_bulk_copies_skip_their_bytes_in_one_step(monkeypatch, data):
-    # The byte loop resumes after a copy by moving its iterator, so it draws
-    # only the bytes before the first copy and a few per copy.  Stepping past
-    # the copied bytes would draw every byte, 262,144 on the zeros.
-    drawn = []
+def test_staggered_caps_end_no_copy(monkeypatch):
+    # Each of 16 in-unit defects restarts runs at other circles, so the runs
+    # after it cap in several phases.  One copy goes on through those caps to
+    # the next defect; a copy that stopped at each cap searched 153 times.
+    assert _repeat_searches(monkeypatch, _unit_with_defects(3, 13, 16)) <= 2 * 16 + 2
 
-    def counted(iterable, start=0):
-        for item in enumerate(iterable, start):
-            drawn.append(item[0])
-            yield item
 
-    monkeypatch.setattr(encoder_module, "enumerate", counted, raising=False)
-    EncoderState(data).run()
-    assert len(drawn) <= 256
+def _unit13_defect_per_4k(n):
+    rng = random.Random(5)
+    unit = b"ABCDEFGHIJKLM"
+    data = bytearray((unit * (n // 13 + 1))[:n])
+    for block in range(0, n, 4096):
+        data[block + rng.randrange(4096)] = rng.choice(unit)
+    return bytes(data)
+
+
+def test_repeat_searches_grow_linearly(monkeypatch):
+    # One in-unit defect per 4 KiB of a 13-byte unit: the searches per MiB at
+    # 4 MiB stay within 1.3x of those at 256 KiB.
+    small, large = (
+        _repeat_searches(monkeypatch, _unit13_defect_per_4k(n)) / n for n in (256 << 10, 4 << 20)
+    )
+    assert large <= 1.3 * small
 
 
 def _unit_with_defects(seed, period, defects):
@@ -392,6 +408,29 @@ def _unit_with_defects(seed, period, defects):
     for _ in range(defects):
         data[rng.randrange(65536)] = rng.choice(unit)
     return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "data, bound",
+    [(bytes(262144), 256), (b"ABCDEFG" * 9363, 256), (_unit_with_defects(2, 13, 2), 400)],
+    ids=["zeros", "unit", "unit13"],
+)
+def test_bulk_copies_skip_their_bytes_in_one_step(monkeypatch, data, bound):
+    # The byte loop resumes after a copy by moving its iterator, so it draws
+    # only the bytes before the first copy and a few per copy.  Stepping past
+    # the copied bytes would draw every byte, 262,144 on the zeros.  On unit13
+    # the runs cap in staggered circles after each defect; a copy that stopped
+    # at each cap would leave 1,849 bytes to the byte loop.
+    drawn = []
+
+    def counted(iterable, start=0):
+        for item in enumerate(iterable, start):
+            drawn.append(item[0])
+            yield item
+
+    monkeypatch.setattr(encoder_module, "enumerate", counted, raising=False)
+    EncoderState(data).run()
+    assert len(drawn) <= bound
 
 
 @pytest.mark.parametrize(
@@ -503,6 +542,9 @@ def test_staged_calls_compose_to_compress(data):
 @example(b"ABBC")
 @example(b"ABABAB")
 @example(bytes(16257))  # whole cap cycles, and one byte into the next
+@example(_unit_with_defects(3, 13, 16)[:20000])  # caps in staggered circles
+# A 256-byte unit whose three defects stagger its caps.
+@example(_periodic_with_defects(bytes(range(256)), 160, [(600, 7), (1500, 200), (2100, 3)]))
 def test_scan_follows_the_reference_rule(data):
     # The scan, bulk copies and cap cycles included, finds the runs and
     # flags that the rule read byte by byte finds.
