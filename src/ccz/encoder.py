@@ -55,17 +55,16 @@ input repeats circle r-1 from there on, the rule above extends each run
 in turn: the chain table holds it, the bisect over ``active_occ`` finds it
 at the index just past the cursor, and no start or paradox can occur.  So
 k repeats extend every run by k circles, in the same order, which is done
-at once (each count grows by k and each ``last`` by k circle sizes, and
-``where``, ``ps`` and ``cs`` move to the last two repeats), up to the
-first of ``upto`` and a changed byte; the byte loop takes over from
+at once (each count grows by k and each ``last`` by k circle sizes), up
+to the end of the input or a changed byte; the byte loop takes over from
 there.  It resumes after the copy by moving its bytes iterator there in
 one step, through the iterator's pickling hook (``__setstate__``), as the
 decoder moves its flag iterator, so the copied bytes are not stepped over
 one at a time.  Only stretches of at least ``2 + 16 // size`` repeats are
 copied, so inputs without them pay one ``startswith`` per fully matched
 circle.  That test is the steady-copy gate, written inline in
-:meth:`EncoderState.feed_prefix`; only a gate that passes calls
-:func:`_repeats`, the one search for how far the repeats go.
+:meth:`EncoderState.run`; only a gate that passes calls :func:`_repeats`,
+the one search for how far the repeats go.
 
 The copy goes on through the count cap, as the byte loop does.  Say the
 run of byte ``c`` reaches count 127 in circle B-1.  In circle B, ``c``
@@ -76,18 +75,24 @@ next byte in offset order that does not cap in B-1 too, or at the tail
 if there is none, and from B+2 on it is extended to the cap at B+126.
 So each byte has one cap event in every 127 circles, at a phase of its
 own, and the events of every such window come in the same order: by
-circle, then by offset.  A copy through caps applies them in closed
-form, in :meth:`EncoderState._cap_copy`.  Each run of circle r-1 grows
-up to its cap.  The new runs' ids, bytes, starts, first and last offsets
-and counts come from one template per window.  Only the ``prev``
-insertions take a loop, and the successor of each byte is found once per
-copy; when every byte caps in the same circle, the insertions are one
-``range`` at the tail.  The byte loop makes a run only in the circle
+circle, then by offset.  Every copy applies them in closed form, in
+:meth:`EncoderState._copy`.  Each run of circle r-1 grows up to its cap;
+a copy that caps no byte does nothing else.  The new runs' ids, bytes,
+starts, first and last offsets and counts come from one template per
+window.  Only the ``prev`` insertions take a loop, and the successor of
+each byte is found once per copy; when every byte caps in the same
+circle, the insertions are one ``range`` at the tail.  The byte loop makes a run only in the circle
 after its byte was literal, so a copy never ends in a circle where a
 byte is literal: its end backs off past those circles, which the byte
-loop then scans.  The copy flags its whole span and leaves ``where``,
-``ps``, ``cs``, ``chains``, ``active``, ``matched`` and the cursor as
-the byte loop leaves them at the end of its last circle.
+loop then scans.  The copy flags its whole span and sets only what the
+next circle opening reads: ``circle`` and ``cs`` of its last circle,
+``where`` of the unit's bytes, ``chains``, and ``matched`` and
+``matched_occ``, the runs of its last circle and their offsets.  Nothing
+else is read before that opening.  Until then a byte outside the unit
+was last seen before the circle the copy repeats, which starts at
+``ps``, so the rule skips it; a byte of the unit opens the circle, and
+the opening sets ``ps``, ``active``, ``active_occ`` and the cursor
+afresh.
 
 After the scan, every run covering only two circles is uncompressed
 again: a 3-byte entry covering 2 bytes is a net loss.  Then one walk over
@@ -152,22 +157,12 @@ class EncodeTrace:
 
 
 class EncoderState:
-    """Mutable scan state over one input stream.
+    """The flags and the run table of one input, filled by :meth:`run`.
 
     The run table is the columns ``ch``, ``start``, ``count``, ``first``,
     ``last`` and ``prev``, indexed by run id (see the module docstring);
     ``last_run`` is the id of the last run in theta order, -1 while there
-    is none, and ``chains[c]`` the id of the most recent run of byte ``c``.
-    ``circle`` is the 1-based index of the circle being scanned, ``cs``
-    its start offset and ``ps`` that of the previous circle (equal to
-    ``cs`` in circle 1); ``where[b]`` is the latest offset of byte ``b``
-    scanned, -1 for none.  ``active`` lists the ids of the runs covering
-    the previous circle in theta order, ``active_occ`` their offsets there,
-    and ``cursor`` is the index in ``active`` of the last run matched or
-    created in the current circle, -1 at every circle start.
-    Runs matched in the current circle and their offsets collect in
-    ``matched`` and ``matched_occ``, which become ``active`` and
-    ``active_occ`` when the next circle opens.
+    is none.
     """
 
     def __init__(self, data: bytes):
@@ -180,42 +175,41 @@ class EncoderState:
         self.last: list[int] = []
         self.prev: list[int] = []
         self.last_run = -1
-        self.chains = [-1] * 256
-        self.circle = 1
-        self.where = [-1] * 256
-        self.cs = self.ps = 0
-        self.active: list[int] = []
-        self.active_occ: list[int] = []
-        self.matched: list[int] = []
-        self.matched_occ: list[int] = []
-        self.cursor = -1
-        self._pos = 0                        # next offset to process
 
     def run(self) -> None:
-        self.feed_prefix(len(self.data))
+        """Scan ``data`` once, left to right, flagging its runs.
 
-    def feed_prefix(self, upto: int) -> None:
-        """Process all offsets below ``upto``.
+        The scan is kept in locals.  ``chains[c]`` is the id of the most
+        recent run of byte ``c``.  ``circle`` is the 1-based index of the
+        circle being scanned, ``cs`` its start offset and ``ps`` that of the
+        previous circle (equal to ``cs`` in circle 1); ``where[b]`` is the
+        latest offset of byte ``b`` scanned, -1 for none.  ``active`` lists
+        the ids of the runs covering the previous circle in theta order,
+        ``active_occ`` their offsets there, and ``cursor`` is the index in
+        ``active`` of the last run matched or created in the current circle,
+        -1 at every circle start.  Runs matched in the current circle and
+        their offsets collect in ``matched`` and ``matched_occ``, which
+        become ``active`` and ``active_occ`` when the next circle opens.
 
-        The state left is the one a scan of ``data[:upto]`` leaves, with the
-        flags at and past ``upto`` still 0.
+        A second call returns at once when the first found a run; one that
+        found none would find none again.
         """
-        data, flags, chains, where = self.data, self.flags, self.chains, self.where
+        if self.last_run >= 0:
+            return
+        data, flags = self.data, self.flags
         run_ch, start, count, first, last, prev = (
             self.ch, self.start, self.count, self.first, self.last, self.prev
         )
-        last_run = self.last_run
-        circle, cs, ps, cursor = self.circle, self.cs, self.ps, self.cursor
-        active, active_occ = self.active, self.active_occ
-        matched, matched_occ = self.matched, self.matched_occ
+        chains, where = [-1] * 256, [-1] * 256
+        circle, cs, ps, cursor, last_run = 1, 0, 0, -1, -1
+        active, active_occ, matched, matched_occ = [], [], [], []
         # Circle 1 needs no case of its own: ps == cs leaves no previous circle.
         # A bulk copy sets resume to its end and breaks out; the byte loop
         # restarts there, its iterator moved past the copied bytes in one step.
-        pos = resume = self._pos
-        todo = iter(data[pos:upto])
-        while resume < upto:
-            todo.__setstate__(resume - pos)
-            it, resume = enumerate(todo, resume), upto
+        todo, resume, n = iter(data), 0, len(data)
+        while resume < n:
+            todo.__setstate__(resume)
+            it, resume = enumerate(todo, resume), n
             for q, c in it:
                 p = where[c]
                 if p >= cs:
@@ -223,43 +217,33 @@ class EncoderState:
                     ps, cs, cursor = cs, q, -1
                     active, active_occ, matched, matched_occ = matched, matched_occ, [], []
                     size = q - ps
-                    reps = 0
                     if len(active) == size:
                         unit = data[ps:q]
                         least = 2 + _STEADY_BYTES // size
                         if data.startswith(unit * least, q):
-                            reps = _repeats(data, unit, q, least, (upto - q) // size)
-                            # The first run to reach the cap leaves its byte literal
-                            # in circle slack of the copy, counted from 0.
-                            slack = MAX_COUNT - max(map(count.__getitem__, active))
-                            if reps > slack:
-                                # Byte i is literal in the circles gaps[i] + 127k of
-                                # the copy, and the copy ends in none of them.
-                                gaps = [MAX_COUNT - count[r] for r in active]
-                                phases = set(gaps)
-                                while reps and (reps - 1) % MAX_COUNT in phases:
-                                    reps -= 1
-                    if reps:
-                        # Every run of the previous circle extends once per repeat,
-                        # in order, up to its cap; leave the state the byte loop
-                        # would leave.
-                        end = q + reps * size
-                        if reps > slack:
-                            last_run = self._cap_copy(active, gaps, unit, circle, q, reps, last_run)
-                        else:
-                            for r in active:
-                                count[r] += reps
-                                last[r] += reps * size
-                        circle += reps - 1
-                        flags[q:end] = b"\x01" * (end - q)
-                        ps, cs = end - 2 * size, end - size
-                        for off, b in enumerate(data[cs:end], cs):
-                            where[b] = off
-                        active_occ = list(range(ps, cs))
-                        matched, matched_occ = active.copy(), list(range(cs, end))
-                        cursor = size - 1
-                        resume = end
-                        break
+                            reps = _repeats(data, unit, q, least, (n - q) // size)
+                            # Byte i is literal in the circles gaps[i] + 127k of
+                            # the copy, counted from 0, and the copy ends in none
+                            # of them.
+                            gaps = [MAX_COUNT - count[r] for r in active]
+                            phases = set(gaps)
+                            while reps and (reps - 1) % MAX_COUNT in phases:
+                                reps -= 1
+                            if reps:
+                                # Set what the next circle opening reads; the
+                                # module docstring says why nothing else is read.
+                                end = q + reps * size
+                                last_run = self._copy(
+                                    chains, active, gaps, unit, circle, q, reps, last_run
+                                )
+                                circle += reps - 1
+                                flags[q:end] = b"\x01" * (end - q)
+                                cs = end - size
+                                for off, b in enumerate(data[cs:end], cs):
+                                    where[b] = off
+                                matched, matched_occ = active, list(range(cs, end))
+                                resume = end
+                                break
                 where[c] = q
                 if p < ps:
                     continue
@@ -297,28 +281,25 @@ class EncoderState:
                 cursor = idx
                 matched.append(r)
                 matched_occ.append(q)
-        self._pos = max(self._pos, upto)
         self.last_run = last_run
-        self.circle, self.cs, self.ps, self.cursor = circle, cs, ps, cursor
-        self.active, self.active_occ = active, active_occ
-        self.matched, self.matched_occ = matched, matched_occ
 
-    def _cap_copy(
-        self, active: list[int], gaps: list[int], unit: bytes, circle: int, q: int, reps: int,
-        last_run: int,
+    def _copy(
+        self, chains: list[int], active: list[int], gaps: list[int], unit: bytes, circle: int,
+        q: int, reps: int, last_run: int,
     ) -> int:
-        """The run columns of a steady copy through count caps; returns ``last_run``.
+        """The run columns of a steady copy; returns ``last_run``.
 
         The copy holds ``reps`` repeats of ``unit`` from offset ``q``, its
         first circle being ``circle``.  ``active`` holds the runs of the
         circle before in offset order, and byte i of the unit is literal in
         the circles ``gaps[i] + 127k`` of the copy, counted from 0 (see the
-        module docstring).  Each run of ``active`` grows up to its cap.
-        Each literal circle starts a run of its byte there, made in the next
-        circle, so the runs from the literal circles before the copy's last
-        one are made here.  Every window of 127 circles has one literal
-        circle per byte, in the same order: by circle, then by offset.
-        ``active`` and ``chains`` are left holding each byte's newest run.
+        module docstring).  Each run of ``active`` grows up to its cap, which
+        is all a copy that caps no byte does.  Each literal circle starts a
+        run of its byte there, made in the next circle, so the runs from the
+        literal circles before the copy's last one are made here.  Every
+        window of 127 circles has one literal circle per byte, in the same
+        order: by circle, then by offset.  ``active`` and ``chains`` are left
+        holding each byte's newest run.
         """
         size = len(unit)
         run_ch, start, count, first, last, prev = (
@@ -330,6 +311,8 @@ class EncoderState:
             last[r] += g * size
         n0 = len(run_ch)
         n = sum((reps + MAX_COUNT - 2 - g) // MAX_COUNT for g in gaps)
+        if not n:
+            return last_run
         order = sorted(range(size), key=gaps.__getitem__)
         opens = [circle + gaps[i] for i in order]
         offs = [q + gaps[i] * size + i for i in order]
@@ -375,7 +358,6 @@ class EncoderState:
                     prev[s] = r
         for k in range(max(0, n - size), n):
             active[order[k % size]] = n0 + k
-        chains = self.chains
         for b, r in zip(unit, active):
             chains[b] = r
         return last_run
@@ -409,14 +391,15 @@ class EncoderState:
 def _repeats(data: bytes, unit: bytes, q: int, present: int, limit: int) -> int:
     """The most copies of ``unit``, at most ``limit``, that ``data`` holds from ``q`` on.
 
-    ``present`` copies are known to be there: ``feed_prefix`` calls this
-    only once its inline gate, one ``startswith`` of ``present`` copies,
-    has passed.  It is the encoder's only repeat search.  It gallops: the
-    count of copies found doubles (from ``present``, or from 1) until one
-    test fails or ``limit`` is reached, and a binary search between the
-    last count found and the first one missing follows.  Each test reads
-    only the copies past those already found, so the bytes read scale with
-    the repeats found, not with the rest of ``data``.
+    ``present`` copies are known to be there: :meth:`EncoderState.run`
+    calls this only once its inline gate, one ``startswith`` of
+    ``present`` copies, has passed.  It is the encoder's only repeat
+    search.  It gallops: the count of copies found doubles (from
+    ``present``, or from 1) until one test fails or ``limit`` is reached,
+    and a binary search between the last count found and the first one
+    missing follows.  Each test reads only the copies past those already
+    found, so the bytes read scale with the repeats found, not with the
+    rest of ``data``.
     """
     lo, hi = min(present, limit), limit + 1  # lo copies are there; hi are not, or hi > limit
     growing = True

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 import ccz
 import ccz.encoder as encoder_module
 from ccz import compress
-from ccz.circles import split_circles
 from ccz.container import CompressedEntry, EncodedParts, parse, serialize
 from ccz.decoder import decode
 from ccz.encoder import (
@@ -243,114 +242,38 @@ class TestRedundantRemoval:
         assert redundancy_violations(parse(compress(data)).entries) == []
 
 
-def _split_inputs():
-    """Each input with three cuts: right after a copy of repeated circles that a
-    new byte extends, at the end of a copy that ``upto`` stops (a state fed
-    only that far has nothing left to scan after the copy), and one byte past
-    that end.
+def _periodic_with_splice():
+    """7-byte circles copied from offset 14 up to the defect at 500, with
+    in-unit and out-of-unit defects and a new byte right after a whole repeat.
     """
     periodic = bytearray(b"ABCDEFG" * 1200)
     for k, byte in ((500, "C"), (2300, "Q"), (4100, "A"), (6001, "Z")):
-        periodic[k] = ord(byte)  # in-unit and out-of-unit defects
-    periodic[3500:3500] = b"Q"  # a new byte right after a whole repeat
-    edges = _steady_edges()
-    return {
-        # Zeros after 'ABCDEFG'; 256-byte circles copied from offset 512.
-        "steady_edges": (edges, (edges.index(bytes(300)), 256 * 50, 256 * 50 + 1)),
-        "zeros": (bytes(5000), (2000, 100, 101)),  # copied from offset 2
-        # 7-byte circles copied from offset 14 up to the defect at 500.
-        "periodic": (bytes(periodic), (3500, 7 * 50, 7 * 50 + 1)),
-        # Cap cycles of 7 * 127 bytes from offset 889 on; the first cut is 60
-        # circles and 3 bytes into the fifth.
-        "unit": (b"ABCDEFG" * 2000, (7 * 127 * 5 + 7 * 60 + 3, 7 * 60, 7 * 60 + 1)),
-    }
+        periodic[k] = ord(byte)
+    periodic[3500:3500] = b"Q"
+    return bytes(periodic)
 
 
-@pytest.mark.parametrize("name", ["steady_edges", "zeros", "periodic", "unit"])
-def test_feed_prefix_splits_change_nothing(name):
-    # A copy of repeated circles stops at upto, so every cut hands the state
-    # over at a different point of a copy.  A state fed one byte at a time
-    # copies at most one one-byte circle per call: it stands for the byte loop.
-    data, cuts = _split_inputs()[name]
-    whole = EncoderState(data)
-    whole.run()
-    rng = random.Random(f"splits-{name}")
-    for _ in range(4):
-        state, bytewise, fed = EncoderState(data), EncoderState(data), 0
-        for cut in sorted(rng.sample(range(1, len(data)), 6) + list(cuts)):
-            state.feed_prefix(cut)
-            for fed in range(fed + 1, cut + 1):
-                bytewise.feed_prefix(fed)
-            once = EncoderState(data)
-            once.feed_prefix(cut)
-            assert _snapshot(state) == _snapshot(once) == _snapshot(bytewise)
-            # Offsets already scanned are not scanned again.
-            for again in (cut, cut - 1):
-                once.feed_prefix(again)
-                assert _snapshot(once) == _snapshot(state)
-            _assert_scans_prefix(state, cut)
-        state.run()
-        assert bytes(state.flags) == bytes(whole.flags)
-        assert _run_tuples(state) == _run_tuples(whole)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(st.binary(min_size=1, max_size=600),
-              st.lists(st.integers(0, 3), min_size=1, max_size=600).map(bytes)),
-    st.data(),
-)
-def test_scan_circles_match_split_circles(data, draw):
-    # After feed_prefix(cut) the current circle is the last one of data[:cut].
-    state = EncoderState(data)
-    for cut in sorted(draw.draw(st.lists(st.integers(1, len(data)), max_size=5))):
-        state.feed_prefix(cut)
-        starts = [start for start, _ in split_circles(data[:cut]).boundaries]
-        assert state.circle == len(starts)
-        assert state.cs == starts[-1]
-        assert state.ps == (starts[-2] if len(starts) > 1 else 0)
-        _assert_scans_prefix(state, cut)
-
-
-def _assert_scans_prefix(state, cut):
-    # feed_prefix(cut) leaves the state of a scan of data[:cut] and flags
-    # nothing at or past cut.
-    prefix = EncoderState(state.data[:cut])
-    prefix.run()
-    assert _snapshot(state, cut) == _snapshot(prefix)
-    assert not any(state.flags[cut:])
-
-
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True).map(bytes),
     st.integers(1, 40_000),
     st.binary(max_size=40),
     st.binary(max_size=40),
     st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), max_size=4),
-    st.data(),
 )
-def test_cap_cycles_roll_over_as_the_byte_loop(unit, n, prefix, suffix, defects, draw):
+def test_cap_cycles_roll_over_as_the_byte_loop(unit, n, prefix, suffix, defects):
     # Defects that swap in another byte of the unit restart runs at other
-    # circles, so the runs of one copy cap in several phases.  A state fed one
-    # byte at a time copies at most one one-byte circle per call: it stands
-    # for the byte loop, and ref_scan for the rule.
+    # circles, so the runs of one copy cap in several phases.  The copies
+    # through those caps find what ref_scan, the rule read byte by byte, finds.
     data = bytearray((unit * (n // len(unit) + 1))[:n])
     for at, i in defects:
         data[int(at * n)] = unit[i % len(unit)]
     data = prefix + bytes(data) + suffix
-    whole, stepped, bytewise = EncoderState(data), EncoderState(data), EncoderState(data)
-    whole.run()
-    fed = 0
-    while fed < len(data):
-        fed = min(fed + draw.draw(st.integers(1, 127 * len(unit))), len(data))
-        stepped.feed_prefix(fed)
-    for fed in range(1, len(data) + 1):
-        bytewise.feed_prefix(fed)
-    assert _snapshot(whole) == _snapshot(stepped) == _snapshot(bytewise)
+    state = EncoderState(data)
+    state.run()
     flags, runs = ref_scan(data)
-    assert bytes(whole.flags) == flags
-    assert whole.run_list() == runs
+    assert bytes(state.flags) == flags
+    assert state.run_list() == runs
 
 
 def _repeat_searches(monkeypatch, data):
@@ -545,28 +468,22 @@ def test_staged_calls_compose_to_compress(data):
 @example(_unit_with_defects(3, 13, 16)[:20000])  # caps in staggered circles
 # A 256-byte unit whose three defects stagger its caps.
 @example(_periodic_with_defects(bytes(range(256)), 160, [(600, 7), (1500, 200), (2100, 3)]))
+@example(_steady_edges())  # zeros after 'ABCDEFG'; 256-byte circles copied from 512
+@example(bytes(5000))  # copied from offset 2
+@example(_periodic_with_splice())
+@example(b"ABCDEFG" * 2000)  # cap cycles of 7 * 127 bytes from offset 889 on
 def test_scan_follows_the_reference_rule(data):
     # The scan, bulk copies and cap cycles included, finds the runs and
-    # flags that the rule read byte by byte finds.
+    # flags that the rule read byte by byte finds.  A second run() scans
+    # nothing again.
     state = EncoderState(data)
     state.run()
     flags, runs = ref_scan(data)
     assert bytes(state.flags) == flags
     assert state.run_list() == runs
-
-
-def _snapshot(state, upto=None):
-    # The scan state, with the flags below upto (all of them by default).
-    return (
-        state.circle, state.cursor, state.ps, state.cs, state._pos, state.active,
-        state.active_occ, state.matched, state.matched_occ, bytes(state.flags[:upto]),
-        state.chains, state.where, state.ch, state.start, state.count, state.first,
-        state.last, state.prev, state.last_run,
-    )
-
-
-def _run_tuples(state):
-    return [(r.ch, r.start, r.count, list(r.occurrences)) for r in state.run_list()]
+    state.run()
+    assert bytes(state.flags) == flags
+    assert state.run_list() == runs
 
 
 def test_underflow_run_is_uncompressed():
