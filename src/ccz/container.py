@@ -361,8 +361,9 @@ def _delta_encode(
     nested insertions under the count cap, yet is not rare, and defects
     that only swap in other bytes of a periodic input's unit suffice: two
     such bytes in 64 KiB of a 13-byte unit leave 26 capped runs behind.  At
-    seeds 1, 7 and 16101, 4 to 7 of the benchmark's 1,000 short mixed
-    inputs have one, all periodic, and so does one 256 KiB periodic input.
+    seeds 1, 7 and 16101, 5 to 7 of the benchmark's 1,000 short mixed
+    inputs have one, all periodic but one text input at seed 7, and so does
+    one 256 KiB periodic input, at seed 16101.
     """
     base = reach = 0
     deltas, chs, counts = bytearray(), bytearray(), bytearray()

@@ -2,31 +2,38 @@
 
 The encoder visits each byte once, left to right.  Circles are found on
 the way from one 256-slot table, ``where``, holding the latest offset of
-each byte value, and the offsets ``cs`` and ``ps`` at which the current
-and the previous circle start.  The byte ``c`` at offset ``q`` reads
-``p = where[c]`` before setting ``where[c] = q``: ``p >= cs`` means ``c``
-is in the current circle already, so it opens the next one (``ps, cs =
-cs, q``), and then, as otherwise, ``ps <= p < cs`` means ``p`` is c's
-offset in the previous circle.  Nothing is allocated per circle.  A byte
-``c`` of circle r >= 2 is handled by the first matching rule:
+each byte value, and the offsets ``cs``, ``ps`` and ``pps`` at which the
+current circle and the two before it start.  The byte ``c`` at offset
+``q`` reads ``p = where[c]`` before setting ``where[c] = q``: ``p >= cs``
+means ``c`` is in the current circle already, so it opens the next one
+(``pps, ps, cs = ps, cs, q``), and then, as otherwise, ``ps <= p < cs``
+means ``p`` is c's offset in the previous circle.  Nothing is allocated
+per circle.  A byte ``c`` of circle r >= 2 is handled by the first
+matching rule:
 
 * extend: the most recent run of ``c`` ends exactly at circle r-1, holds
   fewer than 127 circles, and sits after the cursor (the last run matched
   in this circle).  Its count grows by one.
-* start: circle r-1 contains ``c`` at an offset no run has consumed, and a
-  two-circle run can be placed after the cursor without crossing any other
-  run.  The r-1 occurrence is retroactively flagged, so all of circle 1
-  begins literal and loses bytes only this way.
+* start: ``c`` sits at offsets no run has consumed in both circles
+  before, ``p`` in r-1 and ``p0`` in r-2, and one place in the theta order
+  fits all three circles: after the cursor, and among the runs covering
+  r-1 and r-2 at the same place in both.  ``p0`` is ``data.rfind(c, pps,
+  ps)``, looked up on this path only.  The run is made with start r-2 and
+  count 3, and its occurrences in r-2 and r-1 are retroactively flagged,
+  so circles 1 and 2 begin literal and lose bytes only this way.  No run
+  of two circles is made: its 3-byte entry would cover 2 bytes.
 * otherwise the byte stays literal.  When the only obstacle is that the
   aligned run would cross a run already matched this circle, that is the
   paradox case.
 
 Runs are kept in theta order.  Two runs may never cross: wherever both
 cover a circle, the earlier run's occurrence must sit at the lower offset.
-A new run goes to the end of the theta order unless a live run with a
-later previous-circle occurrence forces insertion immediately before it.
-The theta order is the serialization order: that is what lets the decoder
-match flagged positions to entries by a single forward scan per circle.
+A run covering r-1 was made by circle r-1 with start r-3 at the latest,
+so it covers r-2 as well.  A new run goes to the end of the theta order
+unless a run covering r-2 with a later occurrence there forces insertion
+immediately before it.  The theta order is the serialization order: that
+is what lets the decoder match flagged positions to entries by a single
+forward scan per circle.
 
 The run table holds no object per run.  It is a set of ``list[int]``
 columns indexed by run id, ids counting up in creation order: ``ch``,
@@ -69,57 +76,58 @@ the one search for how far the repeats go.
 The copy goes on through the count cap, as the byte loop does.  Say the
 run of byte ``c`` reaches count 127 in circle B-1.  In circle B, ``c``
 is literal: its run is capped and its occurrence in B-1 is flagged.  In
-circle B+1 it starts a run with start B, whose first occurrence is in B.
-That run goes into the theta order just before the run covering B of the
-next byte in offset order that does not cap in B-1 too, or at the tail
-if there is none, and from B+2 on it is extended to the cap at B+126.
-So each byte has one cap event in every 127 circles, at a phase of its
-own, and the events of every such window come in the same order: by
-circle, then by offset.  Every copy applies them in closed form, in
-:meth:`EncoderState._copy`.  Each run of circle r-1 grows up to its cap;
-a copy that caps no byte does nothing else.  The new runs' ids, bytes,
-starts, first and last offsets and counts come from one template per
-window.  Only the ``prev`` insertions take a loop, and the successor of
-each byte is found once per copy; when every byte caps in the same
-circle, the insertions are one ``range`` at the tail.  The byte loop makes a run only in the circle
-after its byte was literal, so a copy never ends in a circle where a
-byte is literal: its end backs off past those circles, which the byte
-loop then scans.  The copy flags its whole span and sets only what the
-next circle opening reads: ``circle`` and ``cs`` of its last circle,
-``where`` of the unit's bytes, ``chains``, and ``matched`` and
-``matched_occ``, the runs of its last circle and their offsets.  Nothing
-else is read before that opening.  Until then a byte outside the unit
-was last seen before the circle the copy repeats, which starts at
-``ps``, so the rule skips it; a byte of the unit opens the circle, and
-the opening sets ``ps``, ``active``, ``active_occ`` and the cursor
-afresh.
+circle B+1 it is literal again, as its occurrence in B-1 is still
+flagged.  In circle B+2 it makes a run with start B, whose first
+occurrence is in B.  That run goes into the theta order just before the
+run covering B of the next byte in offset order that does not cap in B-1
+too, or at the tail if there is none, and from B+3 on it is extended to
+the cap at B+126.  So each byte has one cap event in every 127 circles,
+at a phase of its own, and the events of every such window come in the
+same order: by circle, then by offset.  Every copy applies them in
+closed form, in :meth:`EncoderState._copy`.  Each run of circle r-1 grows
+up to its cap; a copy that caps no byte does nothing else.  The new
+runs' ids, bytes, starts, first and last offsets and counts come from one
+template per window.  Only the ``prev`` insertions take a loop, and the
+successor of each byte is found once per copy; when every byte caps in
+the same circle, the insertions are one ``range`` at the tail.  The byte
+loop makes a run only from a byte left unflagged in the two circles
+before, so a copy ends in neither circle where a byte is literal, B nor
+B+1: its end backs off past those circles, which the byte loop then
+scans.  The copy flags its whole span and sets only what the next circle
+opening reads: ``circle``, ``cs`` and ``ps`` of its last circle and the
+one before, ``where`` of the unit's bytes, ``chains``, and ``matched``
+and ``matched_occ``, the runs of its last circle and their offsets.
+Nothing else is read before that opening.  Until then a byte outside the
+unit was last seen before the circle the copy repeats, so before ``ps``,
+and the rule skips it; a byte of the unit opens the circle, and the
+opening sets ``pps``, the lists and the cursor afresh.  The lists of the
+circle two back that the opening takes over, ``active`` and
+``active_occ``, are not set for that circle, but nothing reads them in
+it: no run can start there.  A byte that could start one sits unflagged
+in the copy's last circle, so it came after the copy and is not in the
+unit, and the circle before holds only the unit's bytes, so its ``p0``
+is -1.  ``ps`` is set only to keep that ``rfind`` within one circle.
 
-After the scan, every run covering only two circles is uncompressed
-again: a 3-byte entry covering 2 bytes is a net loss.  Then one walk over
-the surviving runs, :func:`ccz.container._delta_encode`, delta encodes
-them against the reference rule, bridging long forward gaps with rebase
-entries.  Dropping a two-circle run never puts a later run behind: such
-a run becomes the reference only when it starts past the base, so
-without it the base stays lower.  The same walk finds the runs too far
-behind the reference base to be serialized, which are uncompressed as
-well.  The walk emits the entries as three byte columns (delta, byte,
-count) holding what the archive stores, so :func:`ccz.compress` writes
-them as they are; only :func:`encode`, :func:`trace_encode` and
-:func:`delta_encode_entries` build :class:`CompressedEntry` records from
-them.  :func:`_encode_pipeline`, which :func:`ccz.compress`,
-:func:`encode` and :func:`trace_encode` share, clears the flags of both
-kinds of uncompressed runs (a pruned run covers two circles, so its flags
-sit at ``first`` and ``last``) and builds the literal stream once, at the
-end.  A run keeps its flags exactly when it is serialized, so
-:func:`trace_encode` tells kept runs from uncompressed ones by the flag at
-``first`` alone.  Where the 0 flags form at most one stretch per 256
-input bytes, as on positional inputs, it joins the input slices of those
-stretches (none at all when every byte is flagged); otherwise it selects
-the 0-flagged bytes from the whole input.  Pruning is a split of the run
-ids on ``count == 2``, and delta coding works on run ids and the columns;
-the public :func:`remove_redundant_entries` makes the same split of a
-list of :class:`RunNode`, and :func:`delta_encode_entries` lays one out
-as columns and calls the same code.
+Every run the scan finds covers at least three circles and is worth its
+entry.  One walk over the runs, :func:`ccz.container._delta_encode`,
+delta encodes them against the reference rule, bridging long forward
+gaps with rebase entries.  The same walk finds the runs too far behind
+the reference base to be serialized, which are uncompressed again, the
+only runs that are.  The walk emits the entries as three byte columns
+(delta, byte, count) holding what the archive stores, so
+:func:`ccz.compress` writes them as they are; only :func:`encode`,
+:func:`trace_encode` and :func:`delta_encode_entries` build
+:class:`CompressedEntry` records from them.  :func:`_encode_pipeline`,
+which :func:`ccz.compress`, :func:`encode` and :func:`trace_encode`
+share, clears the flags of the runs left behind and builds the literal
+stream once, at the end.  A run keeps its flags exactly when it is
+serialized, so :func:`trace_encode` tells kept runs from uncompressed
+ones by the flag at ``first`` alone.  Where the 0 flags form at most one
+stretch per 256 input bytes, as on positional inputs, it joins the input
+slices of those stretches (none at all when every byte is flagged);
+otherwise it selects the 0-flagged bytes from the whole input.  Delta
+coding works on run ids and the columns; :func:`delta_encode_entries`
+lays a list of :class:`RunNode` out as columns and calls the same code.
 """
 
 from bisect import bisect_left, bisect_right
@@ -147,8 +155,8 @@ class EncodeTrace:
     """Encoder output plus the runs found, split by whether they were serialized.
 
     ``runs`` holds the runs the entries encode and ``removed`` those
-    uncompressed again: two-circle runs and runs left behind the
-    reference base.  Both are in theta order.
+    uncompressed again, which are the runs left behind the reference
+    base.  Both are in theta order.
     """
 
     parts: EncodedParts
@@ -181,15 +189,19 @@ class EncoderState:
 
         The scan is kept in locals.  ``chains[c]`` is the id of the most
         recent run of byte ``c``.  ``circle`` is the 1-based index of the
-        circle being scanned, ``cs`` its start offset and ``ps`` that of the
-        previous circle (equal to ``cs`` in circle 1); ``where[b]`` is the
-        latest offset of byte ``b`` scanned, -1 for none.  ``active`` lists
-        the ids of the runs covering the previous circle in theta order,
-        ``active_occ`` their offsets there, and ``cursor`` is the index in
-        ``active`` of the last run matched or created in the current circle,
-        -1 at every circle start.  Runs matched in the current circle and
-        their offsets collect in ``matched`` and ``matched_occ``, which
-        become ``active`` and ``active_occ`` when the next circle opens.
+        circle being scanned, ``cs`` its start offset, and ``ps`` and ``pps``
+        those of the two circles before (equal to ``cs`` where there is no
+        such circle); ``where[b]`` is the latest offset of byte ``b``
+        scanned, -1 for none.  ``active`` lists the ids of the runs covering
+        the previous circle in theta order, ``active_occ`` their offsets
+        there, and ``cursor`` is the index in ``active`` of the last run
+        matched or created in the current circle, -1 at every circle start.
+        ``a2`` lists the runs covering the circle two back in theta order, a
+        superset of ``active``, and ``a2_occ`` their offsets there.  Runs
+        matched in the current circle and their offsets collect in
+        ``matched`` and ``matched_occ``, which become ``active`` and
+        ``active_occ`` when the next circle opens, as ``active`` and
+        ``active_occ`` become ``a2`` and ``a2_occ``.
 
         A second call returns at once when the first found a run; one that
         found none would find none again.
@@ -201,9 +213,10 @@ class EncoderState:
             self.ch, self.start, self.count, self.first, self.last, self.prev
         )
         chains, where = [-1] * 256, [-1] * 256
-        circle, cs, ps, cursor, last_run = 1, 0, 0, -1, -1
-        active, active_occ, matched, matched_occ = [], [], [], []
-        # Circle 1 needs no case of its own: ps == cs leaves no previous circle.
+        circle, cs, ps, pps, cursor, last_run = 1, 0, 0, 0, -1, -1
+        active, active_occ, matched, matched_occ, a2, a2_occ = [], [], [], [], [], []
+        # Circles 1 and 2 need no case of their own: pps == ps leaves no
+        # circle two back, so no run starts there.
         # A bulk copy sets resume to its end and breaks out; the byte loop
         # restarts there, its iterator moved past the copied bytes in one step.
         todo, resume, n = iter(data), 0, len(data)
@@ -214,20 +227,23 @@ class EncoderState:
                 p = where[c]
                 if p >= cs:
                     circle += 1
-                    ps, cs, cursor = cs, q, -1
-                    active, active_occ, matched, matched_occ = matched, matched_occ, [], []
+                    pps, ps, cs, cursor = ps, cs, q, -1
+                    a2, a2_occ, active, active_occ = active, active_occ, matched, matched_occ
+                    matched, matched_occ = [], []
                     size = q - ps
                     if len(active) == size:
                         unit = data[ps:q]
                         least = 2 + _STEADY_BYTES // size
                         if data.startswith(unit * least, q):
                             reps = _repeats(data, unit, q, least, (n - q) // size)
-                            # Byte i is literal in the circles gaps[i] + 127k of
-                            # the copy, counted from 0, and the copy ends in none
-                            # of them.
+                            # Byte i is literal in the circles gaps[i] + 127k
+                            # and gaps[i] + 1 + 127k of the copy, counted from
+                            # 0, and the copy ends in none of them.
                             gaps = [MAX_COUNT - count[r] for r in active]
                             phases = set(gaps)
-                            while reps and (reps - 1) % MAX_COUNT in phases:
+                            while reps and (
+                                (reps - 1) % MAX_COUNT in phases or (reps - 2) % MAX_COUNT in phases
+                            ):
                                 reps -= 1
                             if reps:
                                 # Set what the next circle opening reads; the
@@ -239,6 +255,7 @@ class EncoderState:
                                 circle += reps - 1
                                 flags[q:end] = b"\x01" * (end - q)
                                 cs = end - size
+                                ps = cs - size
                                 for off, b in enumerate(data[cs:end], cs):
                                     where[b] = off
                                 matched, matched_occ = active, list(range(cs, end))
@@ -258,25 +275,37 @@ class EncoderState:
                 elif flags[p]:
                     continue
                 else:
+                    p0 = data.rfind(c, pps, ps)
+                    if p0 < 0 or flags[p0]:
+                        continue
                     idx = bisect_right(active_occ, p)
                     if idx <= cursor:
                         continue
+                    # The runs before c at r-1 must be those before it at r-2,
+                    # where each has its byte once.
+                    if idx and data.rfind(run_ch[active[idx - 1]], pps, ps) > p0:
+                        continue
+                    if idx < len(active) and data.rfind(run_ch[active[idx]], pps, ps) < p0:
+                        continue
+                    m = bisect_right(a2_occ, p0)
                     r = chains[c] = len(run_ch)
                     run_ch.append(c)
-                    start.append(circle - 1)
-                    count.append(2)
-                    first.append(p)
+                    start.append(circle - 2)
+                    count.append(3)
+                    first.append(p0)
                     last.append(q)
-                    if idx == len(active):
+                    if m == len(a2):
                         prev.append(last_run)
                         last_run = r
                     else:
-                        succ = active[idx]
+                        succ = a2[m]
                         prev.append(prev[succ])
                         prev[succ] = r
                     active.insert(idx, r)
                     active_occ.insert(idx, p)
-                    flags[p] = 1
+                    a2.insert(m, r)
+                    a2_occ.insert(m, p0)
+                    flags[p0] = flags[p] = 1
                 flags[q] = 1
                 cursor = idx
                 matched.append(r)
@@ -292,14 +321,15 @@ class EncoderState:
         The copy holds ``reps`` repeats of ``unit`` from offset ``q``, its
         first circle being ``circle``.  ``active`` holds the runs of the
         circle before in offset order, and byte i of the unit is literal in
-        the circles ``gaps[i] + 127k`` of the copy, counted from 0 (see the
-        module docstring).  Each run of ``active`` grows up to its cap, which
-        is all a copy that caps no byte does.  Each literal circle starts a
-        run of its byte there, made in the next circle, so the runs from the
-        literal circles before the copy's last one are made here.  Every
-        window of 127 circles has one literal circle per byte, in the same
-        order: by circle, then by offset.  ``active`` and ``chains`` are left
-        holding each byte's newest run.
+        the circles ``gaps[i] + 127k`` and ``gaps[i] + 1 + 127k`` of the
+        copy, counted from 0 (see the module docstring).  Each run of
+        ``active`` grows up to its cap, which is all a copy that caps no
+        byte does.  The first of each pair of literal circles starts a run
+        of its byte there, made two circles later, so the runs from the
+        literal circles more than two before the copy's end are made here.
+        Every window of 127 circles has one such event per byte, in the
+        same order: by circle, then by offset.  ``active`` and ``chains``
+        are left holding each byte's newest run.
         """
         size = len(unit)
         run_ch, start, count, first, last, prev = (
@@ -310,7 +340,7 @@ class EncoderState:
             count[r] += g
             last[r] += g * size
         n0 = len(run_ch)
-        n = sum((reps + MAX_COUNT - 2 - g) // MAX_COUNT for g in gaps)
+        n = sum((reps + MAX_COUNT - 3 - g) // MAX_COUNT for g in gaps)
         if not n:
             return last_run
         order = sorted(range(size), key=gaps.__getitem__)
@@ -440,6 +470,10 @@ def remove_redundant_entries(
     reference only when it starts past the base, so without it the base
     stays lower and later deltas only grow, which rebase entries bridge.
     Returns the surviving runs plus rewritten flags and literals.
+
+    The scan makes no run shorter than three circles, so on its output
+    this is the identity.  It is kept for hand-built run lists and for the
+    staged path of the benchmark harness.
     """
     return (
         [node for node in run_list if node.count != 2],
@@ -479,21 +513,16 @@ def _encode_pipeline(data: bytes) -> tuple[
     """Flags, literals and entry columns, then the scan state.
 
     ``compress`` writes the first three straight into the archive.  Every
-    two-circle run is uncompressed; where one split a forward gap of more
-    than 127 circles, :func:`_delta_encode` bridges the gap with rebase
-    entries.  Runs left behind the reference base are uncompressed too, so
-    a run of the state is serialized exactly when the flag at its
-    ``first`` offset is still 1.
+    run the scan finds covers at least three circles, so each is worth its
+    entry; where the runs leave a forward gap of more than 127 circles,
+    :func:`_delta_encode` bridges it with rebase entries.  Only runs left
+    behind the reference base are uncompressed, so a run of the state is
+    serialized exactly when the flag at its ``first`` offset is still 1.
     """
     state = EncoderState(data)
     state.run()
-    found = state.theta_order()
-    count, flags, first, last = state.count, state.flags, state.first, state.last
-    kept = [r for r in found if count[r] != 2]
-    columns, behind = _delta_encode(kept, state.ch, state.start, count)
-    for r in found:
-        if count[r] == 2:
-            flags[first[r]] = flags[last[r]] = 0
+    columns, behind = _delta_encode(state.theta_order(), state.ch, state.start, state.count)
+    flags = state.flags
     for r in behind:
         for off in state.view(r).occurrences:
             flags[off] = 0

@@ -107,9 +107,12 @@ def ref_scan(data):
     """Spec-literal run scan: the flags and the runs in theta order.
 
     Follows the rule in the encoder's module docstring byte by byte, on a
-    circle split of its own.  For each circle r it keeps the runs that end
-    at r-1, in theta order, with their offsets in r-1; the cursor is an
-    index into that list.  The theta order is a plain list of run indices.
+    circle split of its own; with ``EncoderState.run`` it is one of the two
+    copies of that rule.  A run is made at its third circle, from a byte
+    that sits unflagged in both circles before, and all three of its bytes
+    are flagged then.  For each circle r it keeps the runs that cover r-1
+    and those that cover r-2, each in theta order; the cursor is an index
+    into the first list.  The theta order is a plain list of run indices.
     Returns ``(flags, runs)`` with ``runs`` as ``(ch, start, count,
     offsets)`` tuples.
     """
@@ -123,13 +126,21 @@ def ref_scan(data):
     flags = bytearray(len(data))
     runs = []    # [ch, start, count, offsets]
     order = []   # indices into runs, in theta order
-    ending = []  # runs ending at the circle before, in theta order
+    ending = []  # runs covering the circle before, in theta order
+    older = []   # runs covering the circle before that, in theta order
+
+    def at(i, r):  # the offset of run i in circle r
+        return runs[i][3][r - runs[i][1]]
+
     for r in range(2, len(circles) + 1):
         before = {data[p]: p for p in circles[r - 2]}
-        occ = [runs[i][3][-1] for i in ending]  # their offsets in circle r-1
+        before2 = {data[p]: p for p in circles[r - 3]} if r > 2 else {}
+        occ = [at(i, r - 1) for i in ending]
+        occ2 = [at(i, r - 2) for i in older]
         cursor = -1
         for q in circles[r - 1]:
-            p = before.get(data[q])
+            c = data[q]
+            p = before.get(c)
             if p is None:
                 continue
             if p in occ:  # c's run ends at r-1: extend it
@@ -139,18 +150,28 @@ def ref_scan(data):
                     continue
                 run[2] += 1
                 run[3].append(q)
-            else:  # p is unconsumed: start a two-circle run
+            else:  # start a run at r-2 if c is unflagged there and at r-1
+                p0 = before2.get(c)
+                if flags[p] or p0 is None or flags[p0]:
+                    continue
                 k = sum(o < p for o in occ)
                 if k <= cursor:  # the paradox case: it would cross
                     continue
+                # The runs before it at r-1 must be the ones before it at r-2.
+                if any((at(i, r - 2) < p0) != (j < k) for j, i in enumerate(ending)):
+                    continue
+                k2 = sum(o < p0 for o in occ2)
                 i = len(runs)
-                runs.append([data[q], r - 1, 2, [p, q]])
-                order.insert(order.index(ending[k]) if k < len(ending) else len(order), i)
+                runs.append([c, r - 2, 3, [p0, p, q]])
+                order.insert(order.index(older[k2]) if k2 < len(older) else len(order), i)
                 ending.insert(k, i)
                 occ.insert(k, p)
-                flags[p] = 1
+                older.insert(k2, i)
+                occ2.insert(k2, p0)
+                flags[p0] = flags[p] = 1
             flags[q] = 1
             cursor = k
+        older = ending
         ending = [i for i in ending if runs[i][1] + runs[i][2] - 1 == r]
     return bytes(flags), [(c, s, n, tuple(offs)) for c, s, n, offs in (runs[i] for i in order)]
 
@@ -259,7 +280,7 @@ def generate_corpus(seed=20260810, target=10000):
 
 
 def chain_circles(n_circles, alphabet=200, triple_circles=()):
-    """Circles "x0 x1", "x1 x2", ...: every boundary byte is a two-circle run.
+    """Circles "x0 x1", "x1 x2", ...: every boundary byte is in two circles only.
 
     Circles listed in ``triple_circles`` (1-based) additionally end with a
     0xFF byte, producing one run of 0xFF across them.

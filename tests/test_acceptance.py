@@ -189,7 +189,7 @@ def test_archive_bytes_are_pinned(pipeline):
     corpus = hashlib.sha256()
     for _, _, archive in results:
         corpus.update(len(archive).to_bytes(4, "big") + archive)
-    assert corpus.hexdigest() == "b7d1d82a7d5cb502d2af1e3b54576b898aba0d0a327f067fd8b6033e9b1f7166"
+    assert corpus.hexdigest() == "26795c996e0f5ca757ded7e52b28c78714c6d7804379532ed46153c277fa906d"
     zeros = serialize(encode(bytes(65536)))
     assert hashlib.sha256(zeros).hexdigest() == (
         "6d33869cc4811d4d04e0be11e85c6cd3adee0698ea2e50bc8a35df23b66afbda"

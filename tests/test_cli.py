@@ -9,7 +9,7 @@ import ccz
 from ccz import compress
 from ccz.cli import main
 
-from oracles import chain_circles
+from oracles import chain_circles, underflow_input
 
 
 def test_compress_decompress_roundtrip(tmp_path, capsys):
@@ -110,7 +110,13 @@ def test_inspect_plain_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "b'THEP'" in out and "b'HONEBLA'" in out and "b'H'" in out
     assert "run: ch=0x48 'H' start=1 count=3 offsets=[1, 4, 11]" in out
-    assert "removed: ch=0x45 'E' start=1 count=2" in out
+    assert "removed:" not in out  # E is in two circles only, so it makes no run
+    # A run left behind the reference base is printed as removed.
+    source.write_bytes(underflow_input())
+    assert main(["inspect", str(source)]) == 0
+    removed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("removed:")]
+    assert len(removed) == 1
+    assert removed[0].startswith("removed: ch=0x65 'e' start=1 count=127 offsets=[1, 3, 5, ")
 
 
 def test_inspect_single_circle(tmp_path, capsys):
@@ -192,8 +198,8 @@ def test_verbose_flag_reports_to_stderr(tmp_path, capsys):
 
 
 def test_inspect_archive_prints_rebases(tmp_path, capsys):
-    # Every two-circle run is uncompressed, so the 0xFF run of circles
-    # 400-402 is reached through two rebase entries.
+    # No two-circle run is made, so the 0xFF run of circles 400-402 is
+    # reached through two rebase entries.
     archive = tmp_path / "chain.ccz"
     archive.write_bytes(compress(chain_circles(420, triple_circles={400, 401, 402})))
     assert main(["inspect", str(archive)]) == 0

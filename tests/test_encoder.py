@@ -58,13 +58,18 @@ def test_encode_count_cap():
 
 
 def test_trace_reports_removed_runs():
+    # E of THEPHONEBLAH is in two circles only, so it never makes a run.
     trace = trace_encode(b"THEPHONEBLAH")
     assert [(r.ch, r.start, r.count, r.occurrences) for r in trace.runs] == [
         (ord("H"), 1, 3, (1, 4, 11))
     ]
-    assert [(r.ch, r.start, r.count, r.occurrences) for r in trace.removed] == [
-        (ord("E"), 1, 2, (2, 7))
+    assert trace.removed == ()
+    # A run left behind the reference base is reported as removed.
+    trace = trace_encode(underflow_input())
+    assert [(r.ch, r.start, r.count, r.occurrences[:3]) for r in trace.removed] == [
+        (0x65, 1, 127, (1, 3, 5))
     ]
+    assert not any(trace.parts.flags[off] for off in trace.removed[0].occurrences)
 
 
 def test_compress_leaves_no_cyclic_garbage():
@@ -78,6 +83,12 @@ def test_compress_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_four_letter_archive_length_is_pinned():
+    # Runs made at their third circle: a scan that started two-circle runs
+    # and pruned them again wrote 62,409 bytes here.
+    assert len(compress(bytes(random.Random(4).choices(b"ACGT", k=65536)))) == 56820
 
 
 def test_scan_leaves_nothing_for_the_collector():
@@ -202,8 +213,8 @@ class TestRedundantRemoval:
         assert literals2 == b""
 
     def test_far_run_is_reached_by_a_rebase(self):
-        # Every two-circle run is dropped, so one rebase carries the base
-        # from 0 to circle 251, just before the run of 0xFF.
+        # No two-circle run is made, so one rebase carries the base from 0
+        # to circle 251, just before the run of 0xFF.
         data = chain_circles(256, triple_circles={252, 253, 254})
         parts = encode(data)
         assert parts.entries == [CompressedEntry(251, 0, 0), CompressedEntry(1, 255, 3)]
@@ -225,7 +236,7 @@ class TestRedundantRemoval:
 
     def test_chain_of_two_circle_runs_keeps_no_entry(self):
         parts = encode(chain_circles(300))
-        assert parts.entries == []  # every run covers two circles, so none is kept
+        assert parts.entries == []  # no byte is in three circles, so no run is made
 
     @pytest.mark.parametrize(
         "data",
@@ -237,8 +248,8 @@ class TestRedundantRemoval:
         ids=["rebase", "rebase-chain", "trailing-run"],
     )
     def test_chain_inputs_keep_no_two_circle_entry(self, data):
-        # Far runs after a chain of two-circle runs: the re-removal oracle
-        # finds no count-2 entry to remove.
+        # Far runs after a chain of bytes in two circles each: the
+        # re-removal oracle finds no count-2 entry to remove.
         assert redundancy_violations(parse(compress(data)).entries) == []
 
 
@@ -303,6 +314,31 @@ def test_staggered_caps_end_no_copy(monkeypatch):
     # after it cap in several phases.  One copy goes on through those caps to
     # the next defect; a copy that stopped at each cap searched 153 times.
     assert _repeat_searches(monkeypatch, _unit_with_defects(3, 13, 16)) <= 2 * 16 + 2
+
+
+class _SearchLog(bytes):
+    """Input bytes that record the span of every ``rfind`` on them."""
+
+    def rfind(self, *args):
+        self.spans.append(args[1:])
+        return super().rfind(*args)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"ABCDEFG" * 40 + b"XY" * 3, _periodic_with_splice(), b"the cat sat on the mat " * 50],
+    ids=["after-copy", "splice", "text"],
+)
+def test_searches_two_circles_back_read_that_circle(data):
+    # A start looks up bytes in circle r-2 only, also in the circle after a
+    # bulk copy, whose circle two back the copy sets: the scan reads each
+    # circle a bounded number of times.
+    logged = _SearchLog(data)
+    logged.spans = []
+    EncoderState(logged).run()
+    circles = {(start, start + size) for start, size in ccz.split_circles(data).boundaries}
+    # Circle 2 has no circle two back, and searches the empty span (0, 0).
+    assert logged.spans and set(logged.spans) <= circles | {(0, 0)}
 
 
 def _unit13_defect_per_4k(n):
@@ -443,18 +479,28 @@ _STAGED_INPUTS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(_STAGED_INPUTS)
 def test_staged_calls_compose_to_compress(data):
-    # The public stages, chained by hand, write compress's archive, and
-    # pruning leaves no two-circle run.
+    # The public stages, chained by hand, write compress's archive.  The
+    # scan makes no run of fewer than three circles, so pruning its output
+    # changes nothing.
     state = EncoderState(data)
     state.run()
+    found = state.run_list()
+    assert all(node.count >= 3 for node in found)
     literals = bytes(itertools.compress(data, [not f for f in state.flags]))
-    kept, flags, literals = remove_redundant_entries(state.run_list(), state.flags, literals)
-    assert all(node.count != 2 for node in kept)
+    kept, flags, pruned = remove_redundant_entries(found, state.flags, literals)
+    assert (kept, flags, pruned) == (found, state.flags, literals)
     try:
         entries = delta_encode_entries(kept)
     except ValueError:
         return  # a run too far behind the base: compress uncompresses it
-    assert serialize(EncodedParts(flags, literals, entries)) == compress(data)
+    assert serialize(EncodedParts(flags, pruned, entries)) == compress(data)
+
+
+def _staggered_unit(repeats):
+    """``ABCDEFG`` repeated, byte 23 set to ``A``: the runs cap in three circles of each 127."""
+    data = bytearray(b"ABCDEFG" * repeats)
+    data[23] = ord("A")
+    return bytes(data)
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,6 +518,16 @@ def test_staged_calls_compose_to_compress(data):
 @example(bytes(5000))  # copied from offset 2
 @example(_periodic_with_splice())
 @example(b"ABCDEFG" * 2000)  # cap cycles of 7 * 127 bytes from offset 889 on
+# X and Y follow a copy in its last circle and in the two after it: the
+# first of those reads pps from the copy, and the second makes their runs.
+@example(b"ABCDEFG" * 40 + b"XY" * 3)
+# Copies whose end, before it backs off, falls on the first and on the
+# second circle in which a byte is literal after its cap: in one phase,
+# and among staggered caps in the second window.
+@example(bytes(128))
+@example(bytes(129))
+@example(_staggered_unit(254))
+@example(_staggered_unit(255))
 def test_scan_follows_the_reference_rule(data):
     # The scan, bulk copies and cap cycles included, finds the runs and
     # flags that the rule read byte by byte finds.  A second run() scans
