@@ -51,16 +51,17 @@ table cannot form a reference cycle.
 A run's other offsets need no storage.  A byte occurs at most once per
 circle, and circles are contiguous, so a run's occurrences are exactly the
 places of its byte in ``data[first:last + 1]``.  They are derived only
-where they are read, by :meth:`EncoderState.view`: it builds the
-:class:`RunNode` records of the staged API and of traces, and gives the
-offsets of runs left behind the reference base, to uncompress them.
+where they are read, by :meth:`EncoderState.view`, which builds the
+:class:`RunNode` records of the staged API and of traces.  To uncompress
+a run left behind the reference base, :func:`_encode_pipeline` clears the
+flags of its byte in that stretch in one pass, without listing them.
 
 Repeated circles are copied in one step.  When circle r opens and every
 byte of circle r-1 was matched, each of those bytes is covered by a run
 ending at r-1, and ``active`` holds these runs in offset order.  If the
 input repeats circle r-1 from there on, the rule above extends each run
-in turn: the chain table holds it, the bisect over ``active_occ`` finds it
-at the index just past the cursor, and no start or paradox can occur.  So
+in turn: the chain table holds it, its offset in r-1 lies past the
+cursor, and no start or paradox can occur.  So
 k repeats extend every run by k circles, in the same order, which is done
 at once (each count grows by k and each ``last`` by k circle sizes), up
 to the end of the input or a changed byte; the byte loop takes over from
@@ -130,9 +131,10 @@ coding works on run ids and the columns; :func:`delta_encode_entries`
 lays a list of :class:`RunNode` out as columns and calls the same code.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, cycle
+from itertools import compress, cycle, islice, product, starmap
+from operator import add
 from typing import Iterable, Sequence
 
 from .container import (
@@ -148,6 +150,7 @@ from .container import (
 
 # Flips 0/1 flags into literal selectors for itertools.compress.
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_ONES = b"\x01" * 256
 
 
 @dataclass(frozen=True)
@@ -194,8 +197,9 @@ class EncoderState:
         such circle); ``where[b]`` is the latest offset of byte ``b``
         scanned, -1 for none.  ``active`` lists the ids of the runs covering
         the previous circle in theta order, ``active_occ`` their offsets
-        there, and ``cursor`` is the index in ``active`` of the last run
-        matched or created in the current circle, -1 at every circle start.
+        there, and ``cursor`` is the offset there of the last run matched or
+        created in the current circle, -1 at every circle start: a run is
+        matched or made only after the cursor.
         ``a2`` lists the runs covering the circle two back in theta order, a
         superset of ``active``, and ``a2_occ`` their offsets there.  Runs
         matched in the current circle and their offsets collect in
@@ -267,20 +271,17 @@ class EncoderState:
                 r = chains[c]
                 # A run of c ends at the previous circle exactly when it holds c's offset there.
                 if r >= 0 and last[r] == p and count[r] < MAX_COUNT:
-                    idx = bisect_left(active_occ, p)
-                    if idx <= cursor:
+                    if p <= cursor:
                         continue
                     count[r] += 1
                     last[r] = q
-                elif flags[p]:
+                elif flags[p] or p <= cursor:
                     continue
                 else:
                     p0 = data.rfind(c, pps, ps)
                     if p0 < 0 or flags[p0]:
                         continue
                     idx = bisect_right(active_occ, p)
-                    if idx <= cursor:
-                        continue
                     # The runs before c at r-1 must be those before it at r-2,
                     # where each has its byte once.
                     if idx and data.rfind(run_ch[active[idx - 1]], pps, ps) > p0:
@@ -307,7 +308,7 @@ class EncoderState:
                     a2_occ.insert(m, p0)
                     flags[p0] = flags[p] = 1
                 flags[q] = 1
-                cursor = idx
+                cursor = p
                 matched.append(r)
                 matched_occ.append(q)
         self.last_run = last_run
@@ -344,14 +345,14 @@ class EncoderState:
         if not n:
             return last_run
         order = sorted(range(size), key=gaps.__getitem__)
-        opens = [circle + gaps[i] for i in order]
-        offs = [q + gaps[i] * size + i for i in order]
         run_ch += (bytes(map(unit.__getitem__, order)) * (n // size + 1))[:n]
-        start += [w + g for w in range(0, reps - 1, MAX_COUNT) for g in opens]
-        first += [w + f for w in range(0, (reps - 1) * size, MAX_COUNT * size) for f in offs]
-        del start[n0 + n:], first[n0 + n:]
+        # Window by window, the first n events are those made in the copy.
+        windows = range(circle, circle + reps - 1, MAX_COUNT)
+        start += islice(starmap(add, product(windows, [gaps[i] for i in order])), n)
+        windows = range(q, q + (reps - 1) * size, MAX_COUNT * size)
+        first += islice(starmap(add, product(windows, [gaps[i] * size + i for i in order])), n)
         count += [MAX_COUNT] * n
-        last += [f + (MAX_COUNT - 1) * size for f in first[n0:]]
+        last += map(((MAX_COUNT - 1) * size).__add__, first[n0:])
         for r in range(max(n0, n0 + n - size), n0 + n):
             k = circle + reps - start[r]  # the runs still open at the end
             if k < MAX_COUNT:
@@ -522,10 +523,14 @@ def _encode_pipeline(data: bytes) -> tuple[
     state = EncoderState(data)
     state.run()
     columns, behind = _delta_encode(state.theta_order(), state.ch, state.start, state.count)
-    flags = state.flags
+    flags, first, last = state.flags, state.first, state.last
     for r in behind:
-        for off in state.view(r).occurrences:
-            flags[off] = 0
+        # The run's bytes are the places of its byte in data[lo:hi]; clear
+        # their flags in one pass over that stretch.
+        lo, hi, c = first[r], last[r] + 1, state.ch[r]
+        keep = data[lo:hi].translate(_ONES[:c] + b"\x00" + _ONES[c + 1:])
+        bits = int.from_bytes(flags[lo:hi], "big") & int.from_bytes(keep, "big")
+        flags[lo:hi] = bits.to_bytes(hi - lo, "big")
     # Positional inputs leave few stretches of literals, often none: copy
     # those, and select from every byte only where they are many.
     spans = _spans(flags, len(flags) >> 8)
