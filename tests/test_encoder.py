@@ -330,9 +330,9 @@ class _SearchLog(bytes):
     ids=["after-copy", "splice", "text"],
 )
 def test_searches_two_circles_back_read_that_circle(data):
-    # A start looks up bytes in circle r-2 only, also in the circle after a
-    # bulk copy, whose circle two back the copy sets: the scan reads each
-    # circle a bounded number of times.
+    # A start looks for bytes in circle r-2 only, also in the circle after a
+    # bulk copy, whose circle two back starts where the copy set ps: each
+    # search reads at most one circle.
     logged = _SearchLog(data)
     logged.spans = []
     EncoderState(logged).run()
