@@ -110,32 +110,35 @@ unit, and the circle before holds only the unit's bytes, so its ``p0``
 is -1.  ``ps`` is set only to keep that ``rfind`` within one circle.
 
 Every run the scan finds covers at least three circles and is worth its
-entry.  One walk over the runs, :func:`ccz.container._delta_encode`,
-delta encodes them against the reference rule, bridging long forward
-gaps with rebase entries.  The same walk finds the runs too far behind
-the reference base to be serialized, which are uncompressed again, the
-only runs that are.  The walk emits the entries as three byte columns
-(delta, byte, count) holding what the archive stores, so
-:func:`ccz.compress` writes them as they are; only :func:`encode`,
-:func:`trace_encode` and :func:`delta_encode_entries` build
-:class:`CompressedEntry` records from them.  :func:`_encode_pipeline`,
-which :func:`ccz.compress`, :func:`encode` and :func:`trace_encode`
-share, clears the flags of the runs left behind and builds the literal
-stream once, at the end.  A run keeps its flags exactly when it is
-serialized, so :func:`trace_encode` tells kept runs from uncompressed
-ones by the flag at ``first`` alone.  Where the 0 flags form at most one
-stretch per 256 input bytes, as on positional inputs, it joins the input
-slices of those stretches (none at all when every byte is flagged);
-otherwise it selects the 0-flagged bytes from the whole input.  Delta
-coding works on run ids and the columns; :func:`delta_encode_entries`
-lays a list of :class:`RunNode` out as columns and calls the same code.
+entry, so nothing is pruned.  One walk over the runs,
+:func:`ccz.container._delta_encode`, delta encodes them against the
+reference rule, bridging long forward gaps with rebase entries.  The same
+walk finds the runs too far behind the reference base to be serialized.
+The walk emits the entries as three byte columns (delta, byte, count)
+holding what the archive stores, so :func:`ccz.compress` writes them as
+they are; only :func:`encode`, :func:`trace_encode` and
+:func:`delta_encode_entries` build :class:`CompressedEntry` records from
+them.  :func:`_encode_pipeline`, which :func:`ccz.compress`,
+:func:`encode` and :func:`trace_encode` share, clears the flags of the
+runs left behind, the one place where runs turn back into literals, and
+builds the literal stream once, at the end.  A run keeps its flags
+exactly when it is serialized, so :func:`trace_encode` tells kept runs
+from uncompressed ones by the flag at ``first`` alone.  Where the 0 flags
+form at most one stretch per 256 input bytes, as on positional inputs, it
+joins the input slices of those stretches (none at all when every byte is
+flagged); otherwise it selects the 0-flagged bytes from the whole input.
+Delta coding works on run ids and the columns;
+:func:`delta_encode_entries` lays a list of :class:`RunNode` out as
+columns and calls the same code.  :func:`remove_redundant_entries`
+returns its arguments: it is the staged path's pruning step, which has
+nothing left to do.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, cycle, islice, product, starmap
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .container import (
     MAX_COUNT,
@@ -462,50 +465,15 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
 
 
 def remove_redundant_entries(
-    run_list: Sequence[RunNode], flags: bytearray, literals: bytes
+    run_list: Iterable[RunNode], flags: bytearray, literals: bytes
 ) -> tuple[list[RunNode], bytearray, bytes]:
-    """Uncompress every two-circle run.
+    """Return the runs, flags and literals as they are.
 
-    A count-2 entry costs 3 bytes to cover 2, so it is flipped back to
-    literals.  No later run depends on one: a two-circle run becomes the
-    reference only when it starts past the base, so without it the base
-    stays lower and later deltas only grow, which rebase entries bridge.
-    Returns the surviving runs plus rewritten flags and literals.
-
-    The scan makes no run shorter than three circles, so on its output
-    this is the identity.  It is kept for hand-built run lists and for the
-    staged path of the benchmark harness.
+    The scan makes no run shorter than three circles, and each such run is
+    worth its 3-byte entry, so there is nothing to prune.  This stage stays
+    only for the staged path of the benchmark harness until ROADMAP item 3.
     """
-    return (
-        [node for node in run_list if node.count != 2],
-        *_uncompress((node for node in run_list if node.count == 2), flags, literals),
-    )
-
-
-def _uncompress(
-    runs: Iterable[RunNode], flags: bytearray, literals: bytes
-) -> tuple[bytearray, bytes]:
-    """Flip the bytes of ``runs`` back to literals.
-
-    Returns a new flag array and the literal stream with each flipped byte
-    inserted at its place among the old literals.
-    """
-    flags = bytearray(flags)
-    flipped = bytearray(len(flags))  # 1 where a byte is flipped
-    chars = bytearray(len(flags))    # the flipped bytes, at their offsets
-    for node in runs:
-        c = node.ch
-        for off in node.occurrences:
-            flags[off] = 0
-            flipped[off] = 1
-            chars[off] = c
-    if 1 not in flipped:
-        return flags, literals
-    # Each new literal comes from the flipped bytes where flipped is 1, else
-    # from the old literals: a merge done by C-level iterators.
-    sources = (iter(literals), compress(chars, flipped))
-    merge = compress(flipped, flags.translate(_INVERT))
-    return flags, bytes(map(next, map(sources.__getitem__, merge)))
+    return list(run_list), flags, literals
 
 
 def _encode_pipeline(data: bytes) -> tuple[

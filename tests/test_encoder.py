@@ -186,31 +186,28 @@ class TestDeltaEncode:
 
 
 class TestRedundantRemoval:
-    def test_non_reference_redundant_removed(self):
-        h = RunNode(ord("H"), 1, 3, [1, 4, 11])
-        e = RunNode(ord("E"), 1, 2, [2, 7])
-        flags = bytearray([0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1])
-        surviving, flags2, literals2 = remove_redundant_entries([h, e], flags, b"TPONBLA")
-        assert surviving == [h]
-        assert list(flags2) == [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]
-        assert literals2 == b"TEPONEBLA"
-
-    def test_reference_removed_when_delta_still_fits(self):
-        a = RunNode(ord("A"), 1, 2, [0, 2])
-        b = RunNode(ord("B"), 1, 3, [1, 3, 4])
-        flags = bytearray([1, 1, 1, 1, 1, 0])
-        surviving, flags2, literals2 = remove_redundant_entries([a, b], flags, b"A")
-        assert surviving == [b]
-        assert list(flags2) == [0, 1, 0, 1, 1, 0]
-        assert literals2 == b"AAA"
-
-    def test_no_redundant_entries_is_identity(self):
-        a = RunNode(ord("A"), 1, 4, [0, 1, 2, 3])
-        flags = bytearray([1, 1, 1, 1])
-        surviving, flags2, literals2 = remove_redundant_entries([a], flags, b"")
-        assert surviving == [a]
-        assert list(flags2) == [1, 1, 1, 1]
-        assert literals2 == b""
+    @pytest.mark.parametrize(
+        "data, runs, flags, literals",
+        [
+            (b"AAAA", [RunNode(ord("A"), 1, 4, [0, 1, 2, 3])], [1, 1, 1, 1], b""),
+            (
+                b"THEPHONEBLAH",
+                [RunNode(ord("H"), 1, 3, [1, 4, 11]), RunNode(ord("E"), 1, 2, [2, 7])],
+                [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1],
+                b"TPONBLA",
+            ),
+        ],
+        ids=["count-4", "count-2"],
+    )
+    def test_no_redundant_entries_is_identity(self, data, runs, flags, literals):
+        # A count-2 run is a legal v1 entry (counts 2..127); the scan never
+        # makes one, and a hand-built one passes through as it is.
+        kept, flags2, literals2 = remove_redundant_entries(runs, bytearray(flags), literals)
+        assert kept == runs
+        assert list(flags2) == flags
+        assert literals2 == literals
+        archive = serialize(EncodedParts(flags2, literals2, delta_encode_entries(kept)))
+        assert decode(archive) == data
 
     def test_far_run_is_reached_by_a_rebase(self):
         # No two-circle run is made, so one rebase carries the base from 0
@@ -480,8 +477,8 @@ _STAGED_INPUTS = st.one_of(
 @given(_STAGED_INPUTS)
 def test_staged_calls_compose_to_compress(data):
     # The public stages, chained by hand, write compress's archive.  The
-    # scan makes no run of fewer than three circles, so pruning its output
-    # changes nothing.
+    # scan makes no run of fewer than three circles, and the pruning stage
+    # passes its arguments through.
     state = EncoderState(data)
     state.run()
     found = state.run_list()

@@ -27,3 +27,31 @@ def test_package_imports_only_the_standard_library():
         if name != "ccz" and name not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def _unused_imports(path):
+    """The names bound by module-level imports of ``path`` that it never reads.
+
+    A name counts as read where it appears as an ``ast.Name`` anywhere in
+    the module (``sys`` in ``sys.exit`` too), or as a string in ``__all__``.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names if a.name != "*")
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return bound - read
+
+
+def test_every_module_level_import_is_used():
+    # A deletion that leaves its last caller's import behind fails here.
+    unused = {(path.name, name) for path in SOURCES for name in _unused_imports(path)}
+    assert unused == set()
