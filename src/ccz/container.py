@@ -36,8 +36,11 @@ Both walks of this rule live here.  :func:`_delta_encode` writes run
 starts as deltas from the base.  Before a start more than 127 circles
 ahead it writes rebases that advance the base to start - 1; a start more
 than 128 circles behind cannot be written, so it returns those runs.
-:func:`_resolve` reads entries back into starts.  After a rebase both
-lift the largest start + count to at least the new base.
+:func:`_resolve` reads entries back into starts.  After a rebase it
+lifts the largest start + count to at least the new base.  The encoder's
+walk needs no lift: it matters only where that reach is below the new
+base, start - 1 of the run after the rebases, and that run then becomes
+the reference with or without it.
 """
 
 import struct
@@ -378,7 +381,6 @@ def _delta_encode(
                 chs.append(0)
                 counts.append(0)
                 base += hop
-            reach = max(reach, base)
             delta = 1
         elif delta < DELTA_MIN:
             behind.append(r)

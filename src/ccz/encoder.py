@@ -94,20 +94,25 @@ the same circle, the insertions are one ``range`` at the tail.  The byte
 loop makes a run only from a byte left unflagged in the two circles
 before, so a copy ends in neither circle where a byte is literal, B nor
 B+1: its end backs off past those circles, which the byte loop then
-scans.  The copy flags its whole span and sets only what the next circle
-opening reads: ``circle``, ``cs`` and ``ps`` of its last circle and the
-one before, ``where`` of the unit's bytes, ``chains``, and ``matched``
-and ``matched_occ``, the runs of its last circle and their offsets.
-Nothing else is read before that opening.  Until then a byte outside the
-unit was last seen before the circle the copy repeats, so before ``ps``,
-and the rule skips it; a byte of the unit opens the circle, and the
-opening sets ``pps``, the lists and the cursor afresh.  The lists of the
-circle two back that the opening takes over, ``active`` and
-``active_occ``, are not set for that circle, but nothing reads them in
-it: no run can start there.  A byte that could start one sits unflagged
-in the copy's last circle, so it came after the copy and is not in the
-unit, and the circle before holds only the unit's bytes, so its ``p0``
-is -1.  ``ps`` is set only to keep that ``rfind`` within one circle.
+scans.  The copy flags its whole span and sets only ``circle``, ``cs``
+and ``ps`` of its last circle and the one before, ``where`` of the
+unit's bytes, and ``chains``.  Until the next circle opens, a byte
+outside the unit was last seen before the circle the copy repeats, so
+before ``ps``, and the rule skips it; a byte of the unit opens the
+circle, and the opening sets ``pps`` and the cursor afresh.  The run
+lists that opening and the next take over are not set for the copy:
+``active`` starts empty at the first, whose ``a2`` holds the circle
+before the copy, and ``a2`` starts empty at the second.  Nothing reads
+what they miss, for three reasons.  In the first circle after the
+copy no run can start: a byte that could start one sits unflagged in the
+copy's last circle, so it came after the copy and is not in the unit,
+and the circle before holds only the unit's bytes, so its ``p0`` is -1.
+The copy gate at its opening, which an empty ``active`` fails, would copy
+nothing: the copy ended at the last end its repeats allow.  A run made
+in the second circle after the copy has its byte after every copied byte
+of the copy's last circle, so it goes to the tail of the theta order
+with or without the copy's runs in ``a2``.  ``ps`` is set only to keep
+that ``rfind`` within one circle.
 
 Every run the scan finds covers at least three circles and is worth its
 entry, so nothing is pruned.  One walk over the runs,
@@ -203,12 +208,15 @@ class EncoderState:
         there, and ``cursor`` is the offset there of the last run matched or
         created in the current circle, -1 at every circle start: a run is
         matched or made only after the cursor.
-        ``a2`` lists the runs covering the circle two back in theta order, a
-        superset of ``active``, and ``a2_occ`` their offsets there.  Runs
-        matched in the current circle and their offsets collect in
+        Runs matched in the current circle and their offsets collect in
         ``matched`` and ``matched_occ``, which become ``active`` and
         ``active_occ`` when the next circle opens, as ``active`` and
-        ``active_occ`` become ``a2`` and ``a2_occ``.
+        ``active_occ`` become ``a2`` and ``a2_occ``.  So ``a2`` lists the
+        runs covering the circle two back in theta order, less those made
+        in the current circle, and ``a2_occ`` their offsets there.  A start
+        needs no run made earlier in its circle as its successor: the
+        cursor only grows, so the start sits after that run in ``active``,
+        and the neighbour checks then put its ``p0`` past that run's.
 
         A second call returns at once when the first found a run; one that
         found none would find none again.
@@ -265,7 +273,6 @@ class EncoderState:
                                 ps = cs - size
                                 for off, b in enumerate(data[cs:end], cs):
                                     where[b] = off
-                                matched, matched_occ = active, list(range(cs, end))
                                 resume = end
                                 break
                 where[c] = q
@@ -307,8 +314,6 @@ class EncoderState:
                         prev[succ] = r
                     active.insert(idx, r)
                     active_occ.insert(idx, p)
-                    a2.insert(m, r)
-                    a2_occ.insert(m, p0)
                     flags[p0] = flags[p] = 1
                 flags[q] = 1
                 cursor = p
@@ -332,8 +337,8 @@ class EncoderState:
         of its byte there, made two circles later, so the runs from the
         literal circles more than two before the copy's end are made here.
         Every window of 127 circles has one such event per byte, in the
-        same order: by circle, then by offset.  ``active`` and ``chains``
-        are left holding each byte's newest run.
+        same order: by circle, then by offset.  ``chains`` alone is left
+        holding each byte's newest run.
         """
         size = len(unit)
         run_ch, start, count, first, last, prev = (
@@ -391,9 +396,7 @@ class EncoderState:
                     prev.append(prev[s])
                     prev[s] = r
         for k in range(max(0, n - size), n):
-            active[order[k % size]] = n0 + k
-        for b, r in zip(unit, active):
-            chains[b] = r
+            chains[unit[order[k % size]]] = n0 + k
         return last_run
 
     def theta_order(self) -> list[int]:

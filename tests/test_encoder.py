@@ -518,6 +518,8 @@ def _staggered_unit(repeats):
 # X and Y follow a copy in its last circle and in the two after it: the
 # first of those reads pps from the copy, and the second makes their runs.
 @example(b"ABCDEFG" * 40 + b"XY" * 3)
+# Circles B|BA|ACB|AC|AC: the A and then the C run, made in one circle, both go before B's.
+@example(b"BBAACBACAC")
 # Copies whose end, before it backs off, falls on the first and on the
 # second circle in which a byte is literal after its cap: in one phase,
 # and among staggered caps in the second window.
