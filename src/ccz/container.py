@@ -361,12 +361,16 @@ def _delta_encode(
 
     A run left behind never updates the reference (its reach is below the
     base), so skipping it leaves every other delta unchanged.  It takes
-    nested insertions under the count cap, yet is not rare, and defects
-    that only swap in other bytes of a periodic input's unit suffice: two
-    such bytes in 64 KiB of a 13-byte unit leave 26 capped runs behind.  At
-    seeds 1, 7 and 16101, 5 to 7 of the benchmark's 1,000 short mixed
-    inputs have one, all periodic but one text input at seed 7, and so does
-    one 256 KiB periodic input, at seed 16101.
+    nested insertions under the count cap, yet is common, and defects that
+    only swap in other bytes of a periodic input's unit suffice: two such
+    bytes in 64 KiB of a 13-byte unit leave 26 capped runs behind.  The
+    benchmark's 256 KiB periodic input leaves 3, 6, 25, 36 and 7 runs
+    behind at seeds 24301, 24303, 24307, 24308 and 24309 (none at the other
+    five of 24301-24310), and 21, 9, 20, 40, 12 and 33 at seeds 24101,
+    24102, 24107, 24108, 24109 and 24110.  Of the 1,000 short mixed inputs,
+    4 to 12 per seed leave runs behind at each of those 20 seeds, 160
+    periodic and 6 text inputs in all, and the 256 KiB text input leaves 1
+    to 11 behind at 8 of the 20.
     """
     base = reach = 0
     deltas, chs, counts = bytearray(), bytearray(), bytearray()

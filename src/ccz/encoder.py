@@ -37,9 +37,9 @@ forward scan per circle.
 
 The run table holds no object per run.  It is a set of ``list[int]``
 columns indexed by run id, ids counting up in creation order: ``ch``,
-``start`` (first circle), ``count``, ``first`` and ``last`` (the input
-offsets of the byte in the first and the last circle covered), and
-``prev``, the id of the run before it in theta order.  Either kind of
+``start`` (first circle), ``count``, ``last`` (the input offset of the
+byte in the last circle covered), and ``prev``, the id of the run before
+it in theta order.  Either kind of
 insertion changes only the predecessor of one run, so ``prev`` links are
 all the theta order needs: walked back from ``last_run`` and reversed,
 they give it.  The lookup state is a 256-slot chain table indexed by byte
@@ -48,13 +48,15 @@ older runs of the byte are never needed.  Since ints are not tracked by
 the garbage collector, finding runs leaves nothing for it to scan, and the
 table cannot form a reference cycle.
 
-A run's other offsets need no storage.  A byte occurs at most once per
-circle, and circles are contiguous, so a run's occurrences are exactly the
-places of its byte in ``data[first:last + 1]``.  They are derived only
+A run's other offsets need no storage: they follow from ``last`` and
+``count``.  A byte occurs at most once per circle, and circles are
+contiguous, so the byte's previous occurrence before a run's offset in
+one circle is the run's offset in the circle before; ``count - 1`` steps
+of ``rfind`` back from ``last`` give them all.  They are derived only
 where they are read, by :meth:`EncoderState.view`, which builds the
-:class:`RunNode` records of the staged API and of traces.  To uncompress
-a run left behind the reference base, :func:`_encode_pipeline` clears the
-flags of its byte in that stretch in one pass, without listing them.
+:class:`RunNode` records of the staged API and of traces, and which
+:func:`_encode_pipeline` calls to clear the flags of a run left behind
+the reference base.
 
 Repeated circles are copied in one step.  When circle r opens and every
 byte of circle r-1 was matched, each of those bytes is covered by a run
@@ -87,7 +89,7 @@ at a phase of its own, and the events of every such window come in the
 same order: by circle, then by offset.  Every copy applies them in
 closed form, in :meth:`EncoderState._copy`.  Each run of circle r-1 grows
 up to its cap; a copy that caps no byte does nothing else.  The new
-runs' ids, bytes, starts, first and last offsets and counts come from one
+runs' ids, bytes, starts, last offsets and counts come from one
 template per window.  Only the ``prev`` insertions take a loop, and the
 successor of each byte is found once per copy; when every byte caps in
 the same circle, the insertions are one ``range`` at the tail.  The byte
@@ -125,10 +127,11 @@ they are; only :func:`encode`, :func:`trace_encode` and
 :func:`delta_encode_entries` build :class:`CompressedEntry` records from
 them.  :func:`_encode_pipeline`, which :func:`ccz.compress`,
 :func:`encode` and :func:`trace_encode` share, clears the flags of the
-runs left behind, the one place where runs turn back into literals, and
-builds the literal stream once, at the end.  A run keeps its flags
+runs left behind at the offsets :meth:`EncoderState.view` walks back,
+the one place where runs turn back into literals, and builds the literal
+stream once, at the end.  A run keeps its flags
 exactly when it is serialized, so :func:`trace_encode` tells kept runs
-from uncompressed ones by the flag at ``first`` alone.  Where the 0 flags
+from uncompressed ones by the flag at ``last`` alone.  Where the 0 flags
 form at most one stretch per 256 input bytes, as on positional inputs, it
 joins the input slices of those stretches (none at all when every byte is
 flagged); otherwise it selects the 0-flagged bytes from the whole input.
@@ -158,7 +161,6 @@ from .container import (
 
 # Flips 0/1 flags into literal selectors for itertools.compress.
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-_ONES = b"\x01" * 256
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,9 @@ class EncodeTrace:
 class EncoderState:
     """The flags and the run table of one input, filled by :meth:`run`.
 
-    The run table is the columns ``ch``, ``start``, ``count``, ``first``,
-    ``last`` and ``prev``, indexed by run id (see the module docstring);
+    The run table is the columns ``ch``, ``start``, ``count``, ``last``
+    and ``prev``, indexed by run id (see the module docstring); a run's
+    other offsets are walked back from ``last`` by :meth:`view`.
     ``last_run`` is the id of the last run in theta order, -1 while there
     is none.
     """
@@ -190,7 +193,6 @@ class EncoderState:
         self.ch: list[int] = []
         self.start: list[int] = []
         self.count: list[int] = []
-        self.first: list[int] = []
         self.last: list[int] = []
         self.prev: list[int] = []
         self.last_run = -1
@@ -224,9 +226,7 @@ class EncoderState:
         if self.last_run >= 0:
             return
         data, flags = self.data, self.flags
-        run_ch, start, count, first, last, prev = (
-            self.ch, self.start, self.count, self.first, self.last, self.prev
-        )
+        run_ch, start, count, last, prev = self.ch, self.start, self.count, self.last, self.prev
         chains, where = [-1] * 256, [-1] * 256
         circle, cs, ps, pps, cursor, last_run = 1, 0, 0, 0, -1, -1
         active, active_occ, matched, matched_occ, a2, a2_occ = [], [], [], [], [], []
@@ -303,7 +303,6 @@ class EncoderState:
                     run_ch.append(c)
                     start.append(circle - 2)
                     count.append(3)
-                    first.append(p0)
                     last.append(q)
                     if m == len(a2):
                         prev.append(last_run)
@@ -341,9 +340,7 @@ class EncoderState:
         holding each byte's newest run.
         """
         size = len(unit)
-        run_ch, start, count, first, last, prev = (
-            self.ch, self.start, self.count, self.first, self.last, self.prev
-        )
+        run_ch, start, count, last, prev = self.ch, self.start, self.count, self.last, self.prev
         for r, g in zip(active, gaps):
             g = min(g, reps)
             count[r] += g
@@ -355,16 +352,17 @@ class EncoderState:
         order = sorted(range(size), key=gaps.__getitem__)
         run_ch += (bytes(map(unit.__getitem__, order)) * (n // size + 1))[:n]
         # Window by window, the first n events are those made in the copy.
+        # Each run's last offset is set as if capped, 126 circles past its event.
         windows = range(circle, circle + reps - 1, MAX_COUNT)
         start += islice(starmap(add, product(windows, [gaps[i] for i in order])), n)
         windows = range(q, q + (reps - 1) * size, MAX_COUNT * size)
-        first += islice(starmap(add, product(windows, [gaps[i] * size + i for i in order])), n)
+        ends = [(gaps[i] + MAX_COUNT - 1) * size + i for i in order]
+        last += islice(starmap(add, product(windows, ends)), n)
         count += [MAX_COUNT] * n
-        last += map(((MAX_COUNT - 1) * size).__add__, first[n0:])
         for r in range(max(n0, n0 + n - size), n0 + n):
             k = circle + reps - start[r]  # the runs still open at the end
             if k < MAX_COUNT:
-                count[r], last[r] = k, first[r] + (k - 1) * size
+                count[r], last[r] = k, last[r] - (MAX_COUNT - k) * size
         if len(set(gaps)) == 1:
             # Every byte caps at once, so each new run goes at the tail.
             prev.append(last_run)
@@ -411,14 +409,19 @@ class EncoderState:
         return out
 
     def view(self, r: int) -> RunNode:
-        """Run ``r`` as a record, its offsets found in ``data[first:last + 1]``."""
-        data, c, end = self.data, self.ch[r], self.last[r] + 1
-        offsets: list[int] = []
-        off = self.first[r]
-        while off >= 0:
+        """Run ``r`` as a record, its offsets walked back from ``last``.
+
+        Each step back is one circle: circles are contiguous and the byte
+        occurs at most once in each, so its previous occurrence is the
+        run's in the circle before.
+        """
+        data, c, n, off = self.data, self.ch[r], self.count[r], self.last[r]
+        offsets = [off]
+        for _ in range(n - 1):
+            off = data.rfind(c, 0, off)
             offsets.append(off)
-            off = data.find(c, off + 1, end)
-        return RunNode(c, self.start[r], self.count[r], tuple(offsets))
+        offsets.reverse()
+        return RunNode(c, self.start[r], n, tuple(offsets))
 
     def run_list(self) -> list[RunNode]:
         """All runs in theta order, as records built on each call."""
@@ -489,19 +492,17 @@ def _encode_pipeline(data: bytes) -> tuple[
     entry; where the runs leave a forward gap of more than 127 circles,
     :func:`_delta_encode` bridges it with rebase entries.  Only runs left
     behind the reference base are uncompressed, so a run of the state is
-    serialized exactly when the flag at its ``first`` offset is still 1.
+    serialized exactly when the flag at its ``last`` offset is still 1.
+    A run left behind has the flags at its :meth:`EncoderState.view`
+    offsets cleared, one per circle it covers.
     """
     state = EncoderState(data)
     state.run()
     columns, behind = _delta_encode(state.theta_order(), state.ch, state.start, state.count)
-    flags, first, last = state.flags, state.first, state.last
+    flags = state.flags
     for r in behind:
-        # The run's bytes are the places of its byte in data[lo:hi]; clear
-        # their flags in one pass over that stretch.
-        lo, hi, c = first[r], last[r] + 1, state.ch[r]
-        keep = data[lo:hi].translate(_ONES[:c] + b"\x00" + _ONES[c + 1:])
-        bits = int.from_bytes(flags[lo:hi], "big") & int.from_bytes(keep, "big")
-        flags[lo:hi] = bits.to_bytes(hi - lo, "big")
+        for off in state.view(r).occurrences:
+            flags[off] = 0
     # Positional inputs leave few stretches of literals, often none: copy
     # those, and select from every byte only where they are many.
     spans = _spans(flags, len(flags) >> 8)
@@ -517,9 +518,8 @@ def trace_encode(data: bytes) -> EncodeTrace:
     flags, literals, columns, state = _encode_pipeline(data)
     runs: list[RunNode] = []
     removed: list[RunNode] = []
-    first = state.first
     for r in state.theta_order():
-        (runs if flags[first[r]] else removed).append(state.view(r))
+        (runs if flags[state.last[r]] else removed).append(state.view(r))
     return EncodeTrace(
         EncodedParts(flags, literals, _entry_records(*columns)), tuple(runs), tuple(removed)
     )

@@ -559,6 +559,16 @@ def test_in_unit_defects_leave_runs_behind():
     assert len(trace.removed) == 26 and all(r.count > 2 for r in trace.removed)
     assert all(-128 <= e.delta <= 127 for e in trace.parts.entries if e.count)
     assert decode(compress(data)) == data
+    # Here and on underflow_input(), the kept and the removed runs split the
+    # reference scan's runs, offsets and theta order included, and clearing
+    # the removed ones leaves a flag 1 exactly at a kept run's offset.
+    for data, trace in ((data, trace), (underflow_input(), trace_encode(underflow_input()))):
+        _, runs = ref_scan(data)
+        gone = set(trace.removed)
+        assert [r for r in runs if r not in gone] == list(trace.runs)
+        assert [r for r in runs if r in gone] == list(trace.removed)
+        kept = {off for r in trace.runs for off in r.occurrences}
+        assert {i for i, flag in enumerate(trace.parts.flags) if flag} == kept
 
 
 def test_within_circle_matches_are_ordered():
