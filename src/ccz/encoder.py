@@ -7,8 +7,8 @@ current circle and the two before it start.  The byte ``c`` at offset
 ``q`` reads ``p = where[c]`` before setting ``where[c] = q``: ``p >= cs``
 means ``c`` is in the current circle already, so it opens the next one
 (``pps, ps, cs = ps, cs, q``), and then, as otherwise, ``ps <= p < cs``
-means ``p`` is c's offset in the previous circle.  Nothing is allocated
-per circle.  A byte ``c`` of circle r >= 2 is handled by the first
+means ``p`` is c's offset in the previous circle.  Finding circles
+allocates nothing.  A byte ``c`` of circle r >= 2 is handled by the first
 matching rule:
 
 * extend: the most recent run of ``c`` ends exactly at circle r-1, holds
@@ -35,6 +35,19 @@ immediately before it.  The theta order is the serialization order: that
 is what lets the decoder match flagged positions to entries by a single
 forward scan per circle.
 
+The scan keeps no list of runs per circle; the flags and the chain table
+below hold what it reads, by three facts.  The flagged offsets of circle
+r-1 are exactly the offsets of the runs covering r-1: a run flags its
+byte in each circle it covers, and nothing else flags a byte there.  For
+a flagged byte ``b``, ``chains[b]`` is the run that covers it: a newer
+run of ``b`` would start after that one ends, and so is not made yet.
+Runs made earlier in the current circle have their r-2 offset before
+this start's ``p0``: the cursor only grows, so such a run sits before
+``p`` in r-1, and the neighbour checks then put its ``p0`` before this
+one.  So a start's neighbours in r-1 are the flags nearest ``p`` on
+either side within r-1, and its successor in theta order is the run
+covering the first flag past ``p0`` in r-2, or the tail if there is none.
+
 The run table holds no object per run.  It is a set of ``list[int]``
 columns indexed by run id, ids counting up in creation order: ``ch``,
 ``start`` (first circle), ``count``, ``last`` (the input offset of the
@@ -60,7 +73,8 @@ the reference base.
 
 Repeated circles are copied in one step.  When circle r opens and every
 byte of circle r-1 was matched, each of those bytes is covered by a run
-ending at r-1, and ``active`` holds these runs in offset order.  If the
+ending at r-1, the chain table's run of its byte.  The scan counts the
+bytes matched in each circle, so this test needs no list.  If the
 input repeats circle r-1 from there on, the rule above extends each run
 in turn: the chain table holds it, its offset in r-1 lies past the
 cursor, and no start or paradox can occur.  So
@@ -98,23 +112,18 @@ before, so a copy ends in neither circle where a byte is literal, B nor
 B+1: its end backs off past those circles, which the byte loop then
 scans.  The copy flags its whole span and sets only ``circle``, ``cs``
 and ``ps`` of its last circle and the one before, ``where`` of the
-unit's bytes, and ``chains``.  Until the next circle opens, a byte
+unit's bytes, and ``chains``; its count of matched bytes is 0, so the
+gate fails at the next opening.  Until the next circle opens, a byte
 outside the unit was last seen before the circle the copy repeats, so
 before ``ps``, and the rule skips it; a byte of the unit opens the
-circle, and the opening sets ``pps`` and the cursor afresh.  The run
-lists that opening and the next take over are not set for the copy:
-``active`` starts empty at the first, whose ``a2`` holds the circle
-before the copy, and ``a2`` starts empty at the second.  Nothing reads
-what they miss, for three reasons.  In the first circle after the
-copy no run can start: a byte that could start one sits unflagged in the
-copy's last circle, so it came after the copy and is not in the unit,
-and the circle before holds only the unit's bytes, so its ``p0`` is -1.
-The copy gate at its opening, which an empty ``active`` fails, would copy
-nothing: the copy ended at the last end its repeats allow.  A run made
-in the second circle after the copy has its byte after every copied byte
-of the copy's last circle, so it goes to the tail of the theta order
-with or without the copy's runs in ``a2``.  ``ps`` is set only to keep
-that ``rfind`` within one circle.
+circle, and the opening sets ``pps`` and the cursor afresh.  In the
+first circle after the copy no run can start: a byte that could start
+one sits unflagged in the copy's last circle, so it came after the copy
+and is not in the unit, and the circle before holds only the unit's
+bytes, so its ``p0`` is -1.  The bytes after the copy's end in its last
+circle are unflagged, so a start in the circle after next finds no
+successor there, and its run goes to the tail.  ``ps`` is set only to
+keep that ``rfind`` within one circle.
 
 Every run the scan finds covers at least three circles and is worth its
 entry, so nothing is pruned.  One walk over the runs,
@@ -142,7 +151,6 @@ returns its arguments: it is the staged path's pruning step, which has
 nothing left to do.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, cycle, islice, product, starmap
 from operator import add
@@ -205,31 +213,28 @@ class EncoderState:
         circle being scanned, ``cs`` its start offset, and ``ps`` and ``pps``
         those of the two circles before (equal to ``cs`` where there is no
         such circle); ``where[b]`` is the latest offset of byte ``b``
-        scanned, -1 for none.  ``active`` lists the ids of the runs covering
-        the previous circle in theta order, ``active_occ`` their offsets
-        there, and ``cursor`` is the offset there of the last run matched or
-        created in the current circle, -1 at every circle start: a run is
-        matched or made only after the cursor.
-        Runs matched in the current circle and their offsets collect in
-        ``matched`` and ``matched_occ``, which become ``active`` and
-        ``active_occ`` when the next circle opens, as ``active`` and
-        ``active_occ`` become ``a2`` and ``a2_occ``.  So ``a2`` lists the
-        runs covering the circle two back in theta order, less those made
-        in the current circle, and ``a2_occ`` their offsets there.  A start
-        needs no run made earlier in its circle as its successor: the
-        cursor only grows, so the start sits after that run in ``active``,
-        and the neighbour checks then put its ``p0`` past that run's.
+        scanned, -1 for none.  ``cursor`` is the offset in the previous
+        circle of the last run matched or created in the current circle, -1
+        at every circle start: a run is matched or made only after the
+        cursor.  ``hits`` counts the bytes matched in the current circle,
+        so the steady-copy gate passes when it equals the size of the
+        circle just closed.  No list of runs is kept per circle: the
+        module docstring's three facts let the flags and ``chains`` answer
+        what a start asks.  Its neighbours in r-1 are the nearest flags
+        around ``p`` there, and the runs they belong to are checked by
+        their bytes' offsets in r-2; its successor in theta order is the
+        run of the first flag past ``p0`` in r-2.  Every flag search stays
+        within one circle.
 
         A second call returns at once when the first found a run; one that
         found none would find none again.
         """
         if self.last_run >= 0:
             return
-        data, flags = self.data, self.flags
+        data, flags, cap = self.data, self.flags, MAX_COUNT
         run_ch, start, count, last, prev = self.ch, self.start, self.count, self.last, self.prev
         chains, where = [-1] * 256, [-1] * 256
-        circle, cs, ps, pps, cursor, last_run = 1, 0, 0, 0, -1, -1
-        active, active_occ, matched, matched_occ, a2, a2_occ = [], [], [], [], [], []
+        circle, cs, ps, pps, cursor, hits, last_run = 1, 0, 0, 0, -1, 0, -1
         # Circles 1 and 2 need no case of their own: pps == ps leaves no
         # circle two back, so no run starts there.
         # A bulk copy sets resume to its end and breaks out; the byte loop
@@ -242,11 +247,11 @@ class EncoderState:
                 p = where[c]
                 if p >= cs:
                     circle += 1
-                    pps, ps, cs, cursor = ps, cs, q, -1
-                    a2, a2_occ, active, active_occ = active, active_occ, matched, matched_occ
-                    matched, matched_occ = [], []
-                    size = q - ps
-                    if len(active) == size:
+                    full = hits == q - cs
+                    pps, ps, cs = ps, cs, q
+                    cursor, hits = -1, 0
+                    if full:
+                        size = q - ps
                         unit = data[ps:q]
                         least = 2 + _STEADY_BYTES // size
                         if data.startswith(unit * least, q):
@@ -254,11 +259,10 @@ class EncoderState:
                             # Byte i is literal in the circles gaps[i] + 127k
                             # and gaps[i] + 1 + 127k of the copy, counted from
                             # 0, and the copy ends in none of them.
-                            gaps = [MAX_COUNT - count[r] for r in active]
+                            active = [chains[b] for b in unit]
+                            gaps = [cap - count[r] for r in active]
                             phases = set(gaps)
-                            while reps and (
-                                (reps - 1) % MAX_COUNT in phases or (reps - 2) % MAX_COUNT in phases
-                            ):
+                            while reps and ((reps - 1) % cap in phases or (reps - 2) % cap in phases):
                                 reps -= 1
                             if reps:
                                 # Set what the next circle opening reads; the
@@ -280,7 +284,7 @@ class EncoderState:
                     continue
                 r = chains[c]
                 # A run of c ends at the previous circle exactly when it holds c's offset there.
-                if r >= 0 and last[r] == p and count[r] < MAX_COUNT:
+                if r >= 0 and last[r] == p and count[r] < cap:
                     if p <= cursor:
                         continue
                     count[r] += 1
@@ -291,33 +295,31 @@ class EncoderState:
                     p0 = data.rfind(c, pps, ps)
                     if p0 < 0 or flags[p0]:
                         continue
-                    idx = bisect_right(active_occ, p)
-                    # The runs before c at r-1 must be those before it at r-2,
-                    # where each has its byte once.
-                    if idx and data.rfind(run_ch[active[idx - 1]], pps, ps) > p0:
+                    # The runs next to c at r-1 must be those next to it at
+                    # r-2, where each has its byte once.
+                    lo = flags.rfind(1, ps, p)
+                    if lo >= 0 and data.rfind(data[lo], pps, ps) > p0:
                         continue
-                    if idx < len(active) and data.rfind(run_ch[active[idx]], pps, ps) < p0:
+                    hi = flags.find(1, p, cs)
+                    if hi >= 0 and data.rfind(data[hi], pps, ps) < p0:
                         continue
-                    m = bisect_right(a2_occ, p0)
+                    s = flags.find(1, p0, ps)
                     r = chains[c] = len(run_ch)
                     run_ch.append(c)
                     start.append(circle - 2)
                     count.append(3)
                     last.append(q)
-                    if m == len(a2):
+                    if s < 0:
                         prev.append(last_run)
                         last_run = r
                     else:
-                        succ = a2[m]
+                        succ = chains[data[s]]
                         prev.append(prev[succ])
                         prev[succ] = r
-                    active.insert(idx, r)
-                    active_occ.insert(idx, p)
                     flags[p0] = flags[p] = 1
                 flags[q] = 1
+                hits += 1
                 cursor = p
-                matched.append(r)
-                matched_occ.append(q)
         self.last_run = last_run
 
     def _copy(
@@ -327,16 +329,17 @@ class EncoderState:
         """The run columns of a steady copy; returns ``last_run``.
 
         The copy holds ``reps`` repeats of ``unit`` from offset ``q``, its
-        first circle being ``circle``.  ``active`` holds the runs of the
-        circle before in offset order, and byte i of the unit is literal in
-        the circles ``gaps[i] + 127k`` and ``gaps[i] + 1 + 127k`` of the
-        copy, counted from 0 (see the module docstring).  Each run of
-        ``active`` grows up to its cap, which is all a copy that caps no
-        byte does.  The first of each pair of literal circles starts a run
-        of its byte there, made two circles later, so the runs from the
-        literal circles more than two before the copy's end are made here.
-        Every window of 127 circles has one such event per byte, in the
-        same order: by circle, then by offset.  ``chains`` alone is left
+        first circle being ``circle``.  ``active`` holds the runs covering
+        the circle before, in offset order: as every byte there is flagged,
+        they are the chain-table runs of the unit's bytes.  Byte i of the
+        unit is literal in the circles ``gaps[i] + 127k`` and ``gaps[i] + 1
+        + 127k`` of the copy, counted from 0 (see the module docstring).
+        Each run of ``active`` grows up to its cap, which is all a copy that
+        caps no byte does.  The first of each pair of literal circles starts
+        a run of its byte there, made two circles later, so the runs from
+        the literal circles more than two before the copy's end are made
+        here.  Every window of 127 circles has one such event per byte, in
+        the same order: by circle, then by offset.  ``chains`` alone is left
         holding each byte's newest run.
         """
         size = len(unit)

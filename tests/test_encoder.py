@@ -313,29 +313,54 @@ def test_staggered_caps_end_no_copy(monkeypatch):
     assert _repeat_searches(monkeypatch, _unit_with_defects(3, 13, 16)) <= 2 * 16 + 2
 
 
-class _SearchLog(bytes):
-    """Input bytes that record the span of every ``rfind`` on them."""
+class _SearchLog:
+    """Records the span of every ``find`` and ``rfind`` made on it in ``spans``."""
+
+    def find(self, *args):
+        self.spans.append(args[1:])
+        return super().find(*args)
 
     def rfind(self, *args):
         self.spans.append(args[1:])
         return super().rfind(*args)
 
 
+class _DataSearchLog(_SearchLog, bytes):
+    """Input bytes that log their searches."""
+
+
+class _FlagSearchLog(_SearchLog, bytearray):
+    """Flags that log their searches."""
+
+
 @pytest.mark.parametrize(
     "data",
-    [b"ABCDEFG" * 40 + b"XY" * 3, _periodic_with_splice(), b"the cat sat on the mat " * 50],
-    ids=["after-copy", "splice", "text"],
+    [
+        b"ABCDEFG" * 40 + b"XY" * 3,
+        _periodic_with_splice(),
+        b"the cat sat on the mat " * 50,
+        bytes(random.Random(4).choices(b"ACGT", k=5000)),
+    ],
+    ids=["after-copy", "splice", "text", "acgt"],
 )
 def test_searches_two_circles_back_read_that_circle(data):
     # A start looks for bytes in circle r-2 only, also in the circle after a
     # bulk copy, whose circle two back starts where the copy set ps: each
     # search reads at most one circle.
-    logged = _SearchLog(data)
+    logged = _DataSearchLog(data)
     logged.spans = []
-    EncoderState(logged).run()
+    state = EncoderState(logged)
+    state.flags = _FlagSearchLog(len(data))
+    state.flags.spans = []
+    state.run()
     circles = {(start, start + size) for start, size in ccz.split_circles(data).boundaries}
     # Circle 2 has no circle two back, and searches the empty span (0, 0).
     assert logged.spans and set(logged.spans) <= circles | {(0, 0)}
+    # The flag searches for a start's neighbours in r-1 and its successor in
+    # r-2 stay inside one circle too, which keeps encode time linear.
+    assert state.flags.spans
+    for lo, hi in state.flags.spans:
+        assert any(start <= lo <= hi <= end for start, end in circles), (lo, hi)
 
 
 def _unit13_defect_per_4k(n):
@@ -520,6 +545,11 @@ def _staggered_unit(repeats):
 @example(b"ABCDEFG" * 40 + b"XY" * 3)
 # Circles B|BA|ACB|AC|AC: the A and then the C run, made in one circle, both go before B's.
 @example(b"BBAACBACAC")
+# Circles A|AB|BA|B|B and A|AB|BA|BA|B: B's run, made in circle 5, goes before
+# the A run found by its successor search in circle 3.  That run ended at
+# circle 3 in the first input and still covers circle 4 in the second.
+@example(b"AABBABB")
+@example(b"AABBABAB")
 # Copies whose end, before it backs off, falls on the first and on the
 # second circle in which a byte is literal after its cap: in one phase,
 # and among staggered caps in the second window.
