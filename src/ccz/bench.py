@@ -12,6 +12,7 @@ from pathlib import Path
 
 import csv
 import io
+import stat
 
 from . import compress
 from .decoder import decode
@@ -70,15 +71,23 @@ def _row(name: str, original: int, cc_size: int, rle_size: int, verified: bool) 
 def run_corpus(directory: str | Path) -> BenchReport:
     """Benchmark every regular file in ``directory`` (sorted by name).
 
-    Unreadable files are skipped with a recorded warning; a roundtrip
-    failure raises :class:`LosslessnessError` and aborts the run.
+    Entries are followed through symlinks.  Directories are passed over
+    silently.  Every other entry that is not a regular file (a FIFO, a
+    device, a dangling symlink), and every file that cannot be read, is
+    skipped with a recorded warning, so the run never blocks on a pipe or
+    reads a device without end.  A roundtrip failure raises
+    :class:`LosslessnessError` and aborts the run.
     """
     directory = Path(directory)
     report = BenchReport()
     for path in sorted(directory.iterdir(), key=lambda p: p.name):
-        if path.is_dir():
-            continue
         try:
+            mode = path.stat().st_mode
+            if stat.S_ISDIR(mode):
+                continue
+            if not stat.S_ISREG(mode):
+                report.warnings.append((path.name, "not a regular file"))
+                continue
             data = path.read_bytes()
         except OSError as exc:
             report.warnings.append((path.name, str(exc)))

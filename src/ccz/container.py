@@ -45,7 +45,7 @@ the reference with or without it.
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 MAGIC = b"CCZ1"
 VERSION = 1
@@ -351,13 +351,18 @@ def _entry_records(deltas: bytes, chs: bytes, counts: bytes) -> list[CompressedE
 
 
 def _delta_encode(
-    order: Iterable[int], ch: list[int], start: list[int], count: list[int]
+    order: Iterable[int], data: bytes, last: Sequence[int], start: list[int], count: list[int]
 ) -> tuple[tuple[bytearray, bytearray, bytearray], list[int]]:
     """Entry columns for the serializable runs of ``order``, plus the ids left ``behind``.
 
-    The columns (``deltas``, ``chs``, ``counts``) hold each entry's bytes
-    as the archive stores them, deltas in two's complement.  ``base`` is
-    the reference's start circle and ``reach`` its start + count.
+    ``last``, ``start`` and ``count`` are run columns indexed by the ids
+    of ``order``.  A run's byte is ``data[last[r]]``: the encoder passes
+    its input and each run's offset in its last circle, and a list of
+    records is laid out as its bytes with ``last`` the identity.  The
+    output columns (``deltas``, ``chs``, ``counts``) hold each entry's
+    bytes as the archive stores them, deltas in two's complement.
+    ``base`` is the reference's start circle and ``reach`` its start +
+    count.
 
     A run left behind never updates the reference (its reach is below the
     base), so skipping it leaves every other delta unchanged.  It takes
@@ -390,7 +395,7 @@ def _delta_encode(
             behind.append(r)
             continue
         deltas.append(delta & 0xFF)
-        chs.append(ch[r])
+        chs.append(data[last[r]])
         n = count[r]
         counts.append(n)
         if first_circle + n > reach:

@@ -49,10 +49,10 @@ either side within r-1, and its successor in theta order is the run
 covering the first flag past ``p0`` in r-2, or the tail if there is none.
 
 The run table holds no object per run.  It is a set of ``list[int]``
-columns indexed by run id, ids counting up in creation order: ``ch``,
-``start`` (first circle), ``count``, ``last`` (the input offset of the
-byte in the last circle covered), and ``prev``, the id of the run before
-it in theta order.  Either kind of
+columns indexed by run id, ids counting up in creation order: ``start``
+(first circle), ``count``, ``last`` (the input offset of the run's byte
+in the last circle covered), and ``prev``, the id of the run before it
+in theta order.  Either kind of
 insertion changes only the predecessor of one run, so ``prev`` links are
 all the theta order needs: walked back from ``last_run`` and reversed,
 they give it.  The lookup state is a 256-slot chain table indexed by byte
@@ -61,7 +61,11 @@ older runs of the byte are never needed.  Since ints are not tracked by
 the garbage collector, finding runs leaves nothing for it to scan, and the
 table cannot form a reference cycle.
 
-A run's other offsets need no storage: they follow from ``last`` and
+A run's byte and its other offsets need no storage.  The byte is
+``data[last]``, read where needed: by :meth:`EncoderState.view`, by
+:func:`ccz.container._delta_encode` for each entry, and by
+:meth:`EncoderState._copy` to set the chain table.  The other offsets
+follow from ``last`` and
 ``count``.  A byte occurs at most once per circle, and circles are
 contiguous, so the byte's previous occurrence before a run's offset in
 one circle is the run's offset in the circle before; ``count - 1`` steps
@@ -103,8 +107,8 @@ at a phase of its own, and the events of every such window come in the
 same order: by circle, then by offset.  Every copy applies them in
 closed form, in :meth:`EncoderState._copy`.  Each run of circle r-1 grows
 up to its cap; a copy that caps no byte does nothing else.  The new
-runs' ids, bytes, starts, last offsets and counts come from one
-template per window.  Only the ``prev`` insertions take a loop, and the
+runs' ids, starts, last offsets and counts come from one template per
+window.  Only the ``prev`` insertions take a loop, and the
 successor of each byte is found once per copy; when every byte caps in
 the same circle, the insertions are one ``range`` at the tail.  The byte
 loop makes a run only from a byte left unflagged in the two circles
@@ -146,7 +150,8 @@ joins the input slices of those stretches (none at all when every byte is
 flagged); otherwise it selects the 0-flagged bytes from the whole input.
 Delta coding works on run ids and the columns;
 :func:`delta_encode_entries` lays a list of :class:`RunNode` out as
-columns and calls the same code.  :func:`remove_redundant_entries`
+columns, their bytes standing in for the input with ``last`` the
+identity, and calls the same code.  :func:`remove_redundant_entries`
 returns its arguments: it is the staged path's pruning step, which has
 nothing left to do.
 """
@@ -188,9 +193,10 @@ class EncodeTrace:
 class EncoderState:
     """The flags and the run table of one input, filled by :meth:`run`.
 
-    The run table is the columns ``ch``, ``start``, ``count``, ``last``
-    and ``prev``, indexed by run id (see the module docstring); a run's
-    other offsets are walked back from ``last`` by :meth:`view`.
+    The run table is the columns ``start``, ``count``, ``last`` and
+    ``prev``, indexed by run id (see the module docstring).  A run's byte
+    is ``data[last]``, and its other offsets are walked back from
+    ``last`` by :meth:`view`.
     ``last_run`` is the id of the last run in theta order, -1 while there
     is none.
     """
@@ -198,7 +204,6 @@ class EncoderState:
     def __init__(self, data: bytes):
         self.data = data
         self.flags = bytearray(len(data))
-        self.ch: list[int] = []
         self.start: list[int] = []
         self.count: list[int] = []
         self.last: list[int] = []
@@ -232,7 +237,7 @@ class EncoderState:
         if self.last_run >= 0:
             return
         data, flags, cap = self.data, self.flags, MAX_COUNT
-        run_ch, start, count, last, prev = self.ch, self.start, self.count, self.last, self.prev
+        start, count, last, prev = self.start, self.count, self.last, self.prev
         chains, where = [-1] * 256, [-1] * 256
         circle, cs, ps, pps, cursor, hits, last_run = 1, 0, 0, 0, -1, 0, -1
         # Circles 1 and 2 need no case of their own: pps == ps leaves no
@@ -269,7 +274,7 @@ class EncoderState:
                                 # module docstring says why nothing else is read.
                                 end = q + reps * size
                                 last_run = self._copy(
-                                    chains, active, gaps, unit, circle, q, reps, last_run
+                                    chains, active, gaps, circle, q, reps, last_run
                                 )
                                 circle += reps - 1
                                 flags[q:end] = b"\x01" * (end - q)
@@ -304,8 +309,7 @@ class EncoderState:
                     if hi >= 0 and data.rfind(data[hi], pps, ps) < p0:
                         continue
                     s = flags.find(1, p0, ps)
-                    r = chains[c] = len(run_ch)
-                    run_ch.append(c)
+                    r = chains[c] = len(last)
                     start.append(circle - 2)
                     count.append(3)
                     last.append(q)
@@ -323,37 +327,38 @@ class EncoderState:
         self.last_run = last_run
 
     def _copy(
-        self, chains: list[int], active: list[int], gaps: list[int], unit: bytes, circle: int,
-        q: int, reps: int, last_run: int,
+        self, chains: list[int], active: list[int], gaps: list[int], circle: int, q: int,
+        reps: int, last_run: int,
     ) -> int:
         """The run columns of a steady copy; returns ``last_run``.
 
-        The copy holds ``reps`` repeats of ``unit`` from offset ``q``, its
-        first circle being ``circle``.  ``active`` holds the runs covering
-        the circle before, in offset order: as every byte there is flagged,
-        they are the chain-table runs of the unit's bytes.  Byte i of the
-        unit is literal in the circles ``gaps[i] + 127k`` and ``gaps[i] + 1
-        + 127k`` of the copy, counted from 0 (see the module docstring).
+        The copy holds ``reps`` repeats of the circle before it, the unit
+        of ``len(gaps)`` bytes, from offset ``q``, its first circle being
+        ``circle``.  ``active`` holds the runs covering the circle before,
+        in offset order: as every byte there is flagged, they are the
+        chain-table runs of the unit's bytes.  Byte i of the unit is
+        literal in the circles ``gaps[i] + 127k`` and ``gaps[i] + 1 +
+        127k`` of the copy, counted from 0 (see the module docstring).
         Each run of ``active`` grows up to its cap, which is all a copy that
         caps no byte does.  The first of each pair of literal circles starts
         a run of its byte there, made two circles later, so the runs from
         the literal circles more than two before the copy's end are made
         here.  Every window of 127 circles has one such event per byte, in
         the same order: by circle, then by offset.  ``chains`` alone is left
-        holding each byte's newest run.
+        holding each byte's newest run, set from the byte at its ``last``
+        offset for the last run made of each byte.
         """
-        size = len(unit)
-        run_ch, start, count, last, prev = self.ch, self.start, self.count, self.last, self.prev
+        data, size = self.data, len(gaps)
+        start, count, last, prev = self.start, self.count, self.last, self.prev
         for r, g in zip(active, gaps):
             g = min(g, reps)
             count[r] += g
             last[r] += g * size
-        n0 = len(run_ch)
+        n0 = len(last)
         n = sum((reps + MAX_COUNT - 3 - g) // MAX_COUNT for g in gaps)
         if not n:
             return last_run
         order = sorted(range(size), key=gaps.__getitem__)
-        run_ch += (bytes(map(unit.__getitem__, order)) * (n // size + 1))[:n]
         # Window by window, the first n events are those made in the copy.
         # Each run's last offset is set as if capped, 126 circles past its event.
         windows = range(circle, circle + reps - 1, MAX_COUNT)
@@ -366,6 +371,7 @@ class EncoderState:
             k = circle + reps - start[r]  # the runs still open at the end
             if k < MAX_COUNT:
                 count[r], last[r] = k, last[r] - (MAX_COUNT - k) * size
+            chains[data[last[r]]] = r
         if len(set(gaps)) == 1:
             # Every byte caps at once, so each new run goes at the tail.
             prev.append(last_run)
@@ -396,8 +402,6 @@ class EncoderState:
                     s = ids[k + a]
                     prev.append(prev[s])
                     prev[s] = r
-        for k in range(max(0, n - size), n):
-            chains[unit[order[k % size]]] = n0 + k
         return last_run
 
     def theta_order(self) -> list[int]:
@@ -418,7 +422,8 @@ class EncoderState:
         occurs at most once in each, so its previous occurrence is the
         run's in the circle before.
         """
-        data, c, n, off = self.data, self.ch[r], self.count[r], self.last[r]
+        data, n, off = self.data, self.count[r], self.last[r]
+        c = data[off]
         offsets = [off]
         for _ in range(n - 1):
             off = data.rfind(c, 0, off)
@@ -466,7 +471,8 @@ def delta_encode_entries(run_list: Iterable[RunNode]) -> list[CompressedEntry]:
     """
     nodes = list(run_list)
     columns, behind = _delta_encode(
-        range(len(nodes)), [n.ch for n in nodes], [n.start for n in nodes], [n.count for n in nodes]
+        range(len(nodes)), bytes(n.ch for n in nodes), range(len(nodes)),
+        [n.start for n in nodes], [n.count for n in nodes],
     )
     if behind:
         raise ValueError(f"run start {nodes[behind[0]].start} is too far behind the reference base")
@@ -501,7 +507,7 @@ def _encode_pipeline(data: bytes) -> tuple[
     """
     state = EncoderState(data)
     state.run()
-    columns, behind = _delta_encode(state.theta_order(), state.ch, state.start, state.count)
+    columns, behind = _delta_encode(state.theta_order(), data, state.last, state.start, state.count)
     flags = state.flags
     for r in behind:
         for off in state.view(r).occurrences:

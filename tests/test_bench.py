@@ -59,9 +59,13 @@ def test_run_corpus_sorts_and_skips_unreadable(tmp_path):
     (tmp_path / "b.bin").write_bytes(b"BBB")
     (tmp_path / "a.bin").write_bytes(b"AAA")
     (tmp_path / "broken").symlink_to(tmp_path / "missing-target")
+    # A symlink to a device is followed to it and skipped: a device such
+    # as /dev/zero would otherwise be read without end.
+    (tmp_path / "null").symlink_to(os.devnull)
     report = run_corpus(tmp_path)
     assert [row.name for row in report.rows] == ["a.bin", "b.bin"]
-    assert len(report.warnings) == 1 and report.warnings[0][0] == "broken"
+    assert [name for name, _ in report.warnings] == ["broken", "null"]
+    assert report.warnings[1][1] == "not a regular file"
 
 
 def test_run_corpus_aborts_on_roundtrip_failure(tmp_path, monkeypatch):

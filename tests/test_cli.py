@@ -234,6 +234,20 @@ def run_module(*args):
                           capture_output=True, text=True, timeout=60)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_bench_skips_a_fifo(tmp_path):
+    # Opening a FIFO for reading blocks until a writer comes, so a bench
+    # that reads it hangs; run in a subprocess, it times out instead.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "x").write_bytes(b"xyz")
+    os.mkfifo(corpus / "pipe")
+    done = run_module("bench", corpus)
+    assert done.returncode == 0
+    assert done.stderr == "warning: skipped pipe: not a regular file\n"
+    assert "| x |" in done.stdout and "pipe" not in done.stdout
+
+
 def test_module_entry_point_roundtrip(tmp_path):
     data = b"ABCDEFG" * 300 + b"THEPHONEBLAH"
     source, archive, restored = tmp_path / "in.bin", tmp_path / "in.ccz", tmp_path / "out.bin"

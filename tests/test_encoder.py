@@ -184,6 +184,10 @@ class TestDeltaEncode:
         with pytest.raises(ValueError, match="behind the reference"):
             delta_encode_entries([run("A", 200, 3), run("B", 10, 3)])
 
+    def test_byte_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            delta_encode_entries([RunNode(256, 1, 3)])
+
 
 class TestRedundantRemoval:
     @pytest.mark.parametrize(
