@@ -200,10 +200,8 @@ def unpack_flags(data: bytes, n: int) -> bytearray:
     return flags
 
 
-# Tables for the entry checks: each maps a byte to 1 where it is at fault.
+# Maps a count byte to 1 where it is illegal: 1, or past the cap.
 _ILLEGAL_COUNT = bytes(count == 1 or count > MAX_COUNT for count in range(256))
-_IS_ZERO = bytes([1]) + bytes(255)
-_IS_NONZERO = bytes([0]) + bytes([1]) * 255
 
 
 def _entry_fault(deltas: bytes, chs: bytes, counts: bytes) -> str | None:
@@ -211,24 +209,20 @@ def _entry_fault(deltas: bytes, chs: bytes, counts: bytes) -> str | None:
 
     The columns hold one byte per entry, as stored.  A count is 0 (a
     rebase) or 2..127, and a rebase has ``ch`` 0 and a nonzero advance.
-    Each check maps a column to one 0/1 byte per entry and reads it as a
-    big-endian int, so the highest set bit of the faults is the first
-    faulty entry.
+    One ``find`` over the counts mapped to 0/1 finds the first illegal
+    count; then only the rebases before it are checked, found one
+    ``find`` each, as :func:`_entry_deltas` walks them.
     """
-    faults = int.from_bytes(counts.translate(_ILLEGAL_COUNT), "big")
-    if 0 in counts:
-        rebases = int.from_bytes(counts.translate(_IS_ZERO), "big")
-        nonzero_ch = int.from_bytes(chs.translate(_IS_NONZERO), "big")
-        zero_advance = int.from_bytes(deltas.translate(_IS_ZERO), "big")
-        faults |= rebases & (nonzero_ch | zero_advance)
-    if not faults:
-        return None
-    i = len(counts) - 1 - (faults.bit_length() - 1) // 8
-    if counts[i]:
-        return f"entry {i} has illegal count {counts[i]}"
-    if chs[i]:
-        return f"rebase entry {i} with nonzero character"
-    return f"rebase entry {i} with zero advance"
+    bad = counts.translate(_ILLEGAL_COUNT).find(1)
+    end = len(counts) if bad < 0 else bad
+    i = counts.find(0, 0, end)
+    while i >= 0:
+        if chs[i]:
+            return f"rebase entry {i} with nonzero character"
+        if not deltas[i]:
+            return f"rebase entry {i} with zero advance"
+        i = counts.find(0, i + 1, end)
+    return None if bad < 0 else f"entry {bad} has illegal count {counts[bad]}"
 
 
 def _write_archive(

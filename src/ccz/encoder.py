@@ -85,14 +85,15 @@ cursor, and no start or paradox can occur.  So
 k repeats extend every run by k circles, in the same order, which is done
 at once (each count grows by k and each ``last`` by k circle sizes), up
 to the end of the input or a changed byte; the byte loop takes over from
-there.  It resumes after the copy by moving its bytes iterator there in
-one step, through the iterator's pickling hook (``__setstate__``), as the
-decoder moves its flag iterator, so the copied bytes are not stepped over
-one at a time.  Only stretches of at least ``2 + 16 // size`` repeats are
-copied, so inputs without them pay one ``startswith`` per fully matched
-circle.  That test is the steady-copy gate, written inline in
-:meth:`EncoderState.run`; only a gate that passes calls :func:`_repeats`,
-the one search for how far the repeats go.
+there.  The byte loop draws each offset and byte from two iterators in
+step, one over ``range(len(data))`` and one over ``data``; after the copy
+it moves both there in one step, through each iterator's pickling hook
+(``__setstate__``), as the decoder moves its flag iterator, so the copied
+bytes are not stepped over one at a time.  Only stretches of at least
+``2 + 16 // size`` repeats are copied, so inputs without them pay one
+``startswith`` per fully matched circle.  That test is the steady-copy
+gate, written inline in :meth:`EncoderState.run`; only a gate that passes
+calls :func:`_repeats`, the one search for how far the repeats go.
 
 The copy goes on through the count cap, as the byte loop does.  Say the
 run of byte ``c`` reaches count 127 in circle B-1.  In circle B, ``c``
@@ -231,6 +232,11 @@ class EncoderState:
         run of the first flag past ``p0`` in r-2.  Every flag search stays
         within one circle.
 
+        The byte loop zips ``offsets``, an iterator over
+        ``range(len(data))``, with ``todo``, one over ``data``.  A bulk
+        copy sets both to its end through their pickling hook and goes on
+        to the next byte, so there is one loop and no restart.
+
         A second call returns at once when the first found a run; one that
         found none would find none again.
         """
@@ -242,88 +248,83 @@ class EncoderState:
         circle, cs, ps, pps, cursor, hits, last_run = 1, 0, 0, 0, -1, 0, -1
         # Circles 1 and 2 need no case of their own: pps == ps leaves no
         # circle two back, so no run starts there.
-        # A bulk copy sets resume to its end and breaks out; the byte loop
-        # restarts there, its iterator moved past the copied bytes in one step.
-        todo, resume, n = iter(data), 0, len(data)
-        while resume < n:
-            todo.__setstate__(resume)
-            it, resume = enumerate(todo, resume), n
-            for q, c in it:
-                p = where[c]
-                if p >= cs:
-                    circle += 1
-                    full = hits == q - cs
-                    pps, ps, cs = ps, cs, q
-                    cursor, hits = -1, 0
-                    if full:
-                        size = q - ps
-                        unit = data[ps:q]
-                        least = 2 + _STEADY_BYTES // size
-                        if data.startswith(unit * least, q):
-                            reps = _repeats(data, unit, q, least, (n - q) // size)
-                            # Byte i is literal in the circles gaps[i] + 127k
-                            # and gaps[i] + 1 + 127k of the copy, counted from
-                            # 0, and the copy ends in none of them.
-                            active = [chains[b] for b in unit]
-                            gaps = [cap - count[r] for r in active]
-                            phases = set(gaps)
-                            while reps and ((reps - 1) % cap in phases or (reps - 2) % cap in phases):
-                                reps -= 1
-                            if reps:
-                                # Set what the next circle opening reads; the
-                                # module docstring says why nothing else is read.
-                                end = q + reps * size
-                                last_run = self._copy(
-                                    chains, active, gaps, circle, q, reps, last_run
-                                )
-                                circle += reps - 1
-                                flags[q:end] = b"\x01" * (end - q)
-                                cs = end - size
-                                ps = cs - size
-                                for off, b in enumerate(data[cs:end], cs):
-                                    where[b] = off
-                                resume = end
-                                break
-                where[c] = q
-                if p < ps:
+        n = len(data)
+        offsets, todo = iter(range(n)), iter(data)
+        for q, c in zip(offsets, todo):
+            p = where[c]
+            if p >= cs:
+                circle += 1
+                full = hits == q - cs
+                pps, ps, cs = ps, cs, q
+                cursor, hits = -1, 0
+                if full:
+                    size = q - ps
+                    unit = data[ps:q]
+                    least = 2 + _STEADY_BYTES // size
+                    if data.startswith(unit * least, q):
+                        reps = _repeats(data, unit, q, least, (n - q) // size)
+                        # Byte i is literal in the circles gaps[i] + 127k
+                        # and gaps[i] + 1 + 127k of the copy, counted from
+                        # 0, and the copy ends in none of them.
+                        active = [chains[b] for b in unit]
+                        gaps = [cap - count[r] for r in active]
+                        phases = set(gaps)
+                        while reps and ((reps - 1) % cap in phases or (reps - 2) % cap in phases):
+                            reps -= 1
+                        if reps:
+                            # Set what the next circle opening reads; the
+                            # module docstring says why nothing else is read.
+                            end = q + reps * size
+                            last_run = self._copy(chains, active, gaps, circle, q, reps, last_run)
+                            circle += reps - 1
+                            flags[q:end] = b"\x01" * (end - q)
+                            cs = end - size
+                            ps = cs - size
+                            for off, b in enumerate(data[cs:end], cs):
+                                where[b] = off
+                            offsets.__setstate__(end)
+                            todo.__setstate__(end)
+                            continue
+            where[c] = q
+            if p < ps:
+                continue
+            r = chains[c]
+            # A run of c ends at the previous circle exactly when it holds c's offset there.
+            if r >= 0 and last[r] == p and count[r] < cap:
+                if p <= cursor:
                     continue
-                r = chains[c]
-                # A run of c ends at the previous circle exactly when it holds c's offset there.
-                if r >= 0 and last[r] == p and count[r] < cap:
-                    if p <= cursor:
-                        continue
-                    count[r] += 1
-                    last[r] = q
-                elif flags[p] or p <= cursor:
+                count[r] += 1
+                last[r] = q
+            elif flags[p] or p <= cursor:
+                continue
+            else:
+                p0 = data.rfind(c, pps, ps)
+                if p0 < 0 or flags[p0]:
                     continue
+                # The runs next to c at r-1 must be those next to it at
+                # r-2, where each has its byte once.
+                lo = flags.rfind(1, ps, p)
+                if lo >= 0 and data.rfind(data[lo], pps, ps) > p0:
+                    continue
+                hi = flags.find(1, p, cs)
+                if hi >= 0 and data.rfind(data[hi], pps, ps) < p0:
+                    continue
+                s = flags.find(1, p0, ps)
+                r = chains[c] = len(last)
+                start.append(circle - 2)
+                count.append(3)
+                last.append(q)
+                if s < 0:
+                    prev.append(last_run)
+                    last_run = r
                 else:
-                    p0 = data.rfind(c, pps, ps)
-                    if p0 < 0 or flags[p0]:
-                        continue
-                    # The runs next to c at r-1 must be those next to it at
-                    # r-2, where each has its byte once.
-                    lo = flags.rfind(1, ps, p)
-                    if lo >= 0 and data.rfind(data[lo], pps, ps) > p0:
-                        continue
-                    hi = flags.find(1, p, cs)
-                    if hi >= 0 and data.rfind(data[hi], pps, ps) < p0:
-                        continue
-                    s = flags.find(1, p0, ps)
-                    r = chains[c] = len(last)
-                    start.append(circle - 2)
-                    count.append(3)
-                    last.append(q)
-                    if s < 0:
-                        prev.append(last_run)
-                        last_run = r
-                    else:
-                        succ = chains[data[s]]
-                        prev.append(prev[succ])
-                        prev[succ] = r
-                    flags[p0] = flags[p] = 1
-                flags[q] = 1
-                hits += 1
-                cursor = p
+                    succ = chains[data[s]]
+                    prev.append(prev[succ])
+                    prev[succ] = r
+                flags[p0] = flags[p] = 1
+            flags[q] = 1
+            hits += 1
+            cursor = p
         self.last_run = last_run
 
     def _copy(

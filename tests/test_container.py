@@ -269,6 +269,33 @@ def test_parse_names_the_first_of_two_faulty_entries(first, second):
         parse(archive)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (
+            [CompressedEntry(1, 0, 0)] * 10_000 + [CompressedEntry(1, 7, 0)],
+            "rebase entry 10000 with nonzero character",
+        ),
+        (
+            [CompressedEntry(3, 0, 0), CompressedEntry(1, 65, 3), CompressedEntry(1, 66, 200)]
+            + [CompressedEntry(5, 7, 0)] * 3,
+            "entry 2 has illegal count 200",
+        ),
+    ],
+    ids=["bad-rebase-after-10000-rebases", "illegal-count-before-bad-rebases"],
+)
+def test_entry_checks_walk_the_rebases_before_the_first_illegal_count(entries, message):
+    # The checks find the first illegal count, then walk only the rebases
+    # before it: a bad rebase after it is never the one named.
+    flags = bytearray([1]) * sum(entry.count for entry in entries)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        serialize(EncodedParts(flags, b"", entries))
+    stored = b"".join(bytes([delta & 0xFF, ch, count]) for delta, ch, count in entries)
+    archive = struct.pack("<4sBQQI", b"CCZ1", 1, 0, 0, len(entries)) + stored
+    with pytest.raises(ArchiveFormatError, match=f"^entries: {message}$"):
+        parse(archive)
+
+
 def test_parse_inverts_serialize_with_rebases():
     # Rebase advances of 128 and up and negative real deltas share the
     # stored byte range; each keeps its own reading.

@@ -400,22 +400,41 @@ def _unit_with_defects(seed, period, defects):
     [(bytes(262144), 256), (b"ABCDEFG" * 9363, 256), (_unit_with_defects(2, 13, 2), 400)],
     ids=["zeros", "unit", "unit13"],
 )
-def test_bulk_copies_skip_their_bytes_in_one_step(monkeypatch, data, bound):
-    # The byte loop resumes after a copy by moving its iterator, so it draws
-    # only the bytes before the first copy and a few per copy.  Stepping past
-    # the copied bytes would draw every byte, 262,144 on the zeros.  On unit13
-    # the runs cap in staggered circles after each defect; a copy that stopped
-    # at each cap would leave 1,849 bytes to the byte loop.
-    drawn = []
+def test_bulk_copies_skip_their_bytes_in_one_step(data, bound):
+    # The byte loop moves its bytes iterator past a copy in one step, so it
+    # draws only the bytes before the first copy and a few per copy.  Stepping
+    # past the copied bytes would draw every byte, 262,144 on the zeros.  On
+    # unit13 the runs cap in staggered circles after each defect; a copy that
+    # stopped at each cap would leave 1,849 bytes to the byte loop.
+    counted = _CountedBytes(data)
+    EncoderState(counted).run()
+    assert 0 < counted.it.drawn <= bound
 
-    def counted(iterable, start=0):
-        for item in enumerate(iterable, start):
-            drawn.append(item[0])
-            yield item
 
-    monkeypatch.setattr(encoder_module, "enumerate", counted, raising=False)
-    EncoderState(data).run()
-    assert len(drawn) <= bound
+class _CountedBytes(bytes):
+    """Bytes whose iterator, kept as ``it``, counts the bytes drawn from it."""
+
+    def __iter__(self):
+        self.it = _CountingIterator(bytes(self))
+        return self.it
+
+
+class _CountingIterator:
+    """Iterates over ``data``, counting the bytes drawn; forwards the pickling hook."""
+
+    def __init__(self, data):
+        self.it, self.drawn = iter(data), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        c = next(self.it)
+        self.drawn += 1
+        return c
+
+    def __setstate__(self, pos):
+        self.it.__setstate__(pos)
 
 
 @pytest.mark.parametrize(

@@ -55,3 +55,31 @@ def test_every_module_level_import_is_used():
     # A deletion that leaves its last caller's import behind fails here.
     unused = {(path.name, name) for path in SOURCES for name in _unused_imports(path)}
     assert unused == set()
+
+
+def _private_names(path):
+    """The ``_``-prefixed names bound by module-level defs, classes and assignments of ``path``."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_module_level_private_name_is_read():
+    # A deletion that leaves a private helper or table behind fails here.
+    # A name counts as read where it appears as a loaded ``ast.Name`` in
+    # any module of the package.
+    read = {
+        node.id
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    private = {(path.name, name) for path in SOURCES for name in _private_names(path)}
+    assert private
+    assert {(module, name) for module, name in private if name not in read} == set()
