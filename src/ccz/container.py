@@ -204,25 +204,30 @@ def unpack_flags(data: bytes, n: int) -> bytearray:
 _ILLEGAL_COUNT = bytes(count == 1 or count > MAX_COUNT for count in range(256))
 
 
-def _entry_fault(deltas: bytes, chs: bytes, counts: bytes) -> str | None:
-    """Describe the first faulty entry of the three entry columns, or None.
+def _rebases(deltas: bytes, chs: bytes, counts: bytes) -> list[int]:
+    """The indices of the rebase entries of the three entry columns.
 
     The columns hold one byte per entry, as stored.  A count is 0 (a
-    rebase) or 2..127, and a rebase has ``ch`` 0 and a nonzero advance.
-    One ``find`` over the counts mapped to 0/1 finds the first illegal
-    count; then only the rebases before it are checked, found one
-    ``find`` each, as :func:`_entry_deltas` walks them.
+    rebase) or 2..127, and a rebase has ``ch`` 0 and a nonzero advance;
+    ``ValueError`` names the first faulty entry.  One ``find`` over the
+    counts mapped to 0/1 finds the first illegal count; then only the
+    rebases before it are walked, found one ``find`` each.  The walk is
+    the only one: :func:`_entry_deltas` takes the indices it returns.
     """
     bad = counts.translate(_ILLEGAL_COUNT).find(1)
     end = len(counts) if bad < 0 else bad
+    rebases = []
     i = counts.find(0, 0, end)
     while i >= 0:
         if chs[i]:
-            return f"rebase entry {i} with nonzero character"
+            raise ValueError(f"rebase entry {i} with nonzero character")
         if not deltas[i]:
-            return f"rebase entry {i} with zero advance"
+            raise ValueError(f"rebase entry {i} with zero advance")
+        rebases.append(i)
         i = counts.find(0, i + 1, end)
-    return None if bad < 0 else f"entry {bad} has illegal count {counts[bad]}"
+    if bad >= 0:
+        raise ValueError(f"entry {bad} has illegal count {counts[bad]}")
+    return rebases
 
 
 def _write_archive(
@@ -234,9 +239,7 @@ def _write_archive(
     complement), so each fills one lane of the entry section's 3-byte
     stride.  Raises ``ValueError`` for an entry :func:`parse` would reject.
     """
-    fault = _entry_fault(deltas, chs, counts)
-    if fault:
-        raise ValueError(fault)
+    _rebases(deltas, chs, counts)  # raises ValueError for a faulty entry
     out = bytearray(_HEADER.pack(MAGIC, VERSION, len(flags), len(literals), len(counts)))
     out += pack_flags(flags)
     out += literals
@@ -269,11 +272,12 @@ def serialize(parts: EncodedParts) -> bytes:
     return _write_archive(parts.flags, parts.literals, deltas, chs, counts)
 
 
-def _read_archive(data: bytes) -> tuple[bytearray, bytes, bytes, bytes, bytes]:
+def _read_archive(data: bytes) -> tuple[bytearray, bytes, list[int], bytes, bytes]:
     """Validate an archive; return its flags, literals and entry columns.
 
-    The columns are the entry section's three lanes (``deltas``, ``chs``,
-    ``counts``), one byte per entry as stored.  Every failure raises
+    The columns are the entry section's three lanes, one byte per entry as
+    stored, except that ``deltas`` is read as :class:`CompressedEntry`
+    holds it (see :func:`_entry_deltas`).  Every failure raises
     :class:`ArchiveFormatError` naming the offending section.
     """
     if len(data) < HEADER_SIZE:
@@ -315,33 +319,35 @@ def _read_archive(data: bytes) -> tuple[bytearray, bytes, bytes, bytes, bytes]:
         )
 
     deltas, chs, counts = data[pos::3], data[pos + 1::3], data[pos + 2::3]
-    fault = _entry_fault(deltas, chs, counts)
-    if fault:
-        raise ArchiveFormatError("entries", fault)
+    try:
+        rebases = _rebases(deltas, chs, counts)
+    except ValueError as fault:
+        raise ArchiveFormatError("entries", str(fault)) from None
     covered = sum(counts)  # every count is now legal; rebases add 0
     if covered != popcount:
         raise ArchiveFormatError(
             "entries", f"entry counts cover {covered} bytes but {popcount} are flagged"
         )
+    deltas = _entry_deltas(deltas, rebases)
     return unpack_flags(packed, original_len), literals, deltas, chs, counts
 
 
-def _entry_deltas(deltas: bytes, counts: bytes) -> list[int]:
+def _entry_deltas(deltas: bytes, rebases: list[int]) -> list[int]:
     """The stored delta bytes as :class:`CompressedEntry` holds them.
 
-    A real entry's delta is signed; a rebase's advance (count 0) is not.
+    A real entry's delta is signed; the advance of a rebase, at the
+    ``rebases`` indices, is not.
     """
     out = memoryview(deltas).cast("b").tolist()
-    i = counts.find(0)
-    while i >= 0:
+    for i in rebases:
         out[i] = deltas[i]
-        i = counts.find(0, i + 1)
     return out
 
 
 def _entry_records(deltas: bytes, chs: bytes, counts: bytes) -> list[CompressedEntry]:
-    """One :class:`CompressedEntry` per entry of the three entry columns."""
-    return list(map(CompressedEntry, _entry_deltas(deltas, counts), chs, counts))
+    """One :class:`CompressedEntry` per entry of the three stored entry columns."""
+    deltas = _entry_deltas(deltas, _rebases(deltas, chs, counts))
+    return list(map(CompressedEntry, deltas, chs, counts))
 
 
 def _delta_encode(
@@ -434,4 +440,4 @@ def parse(data: bytes) -> EncodedParts:
     section.
     """
     flags, literals, *columns = _read_archive(data)
-    return EncodedParts(flags, literals, _entry_records(*columns))
+    return EncodedParts(flags, literals, list(map(CompressedEntry, *columns)))

@@ -148,7 +148,8 @@ exactly when it is serialized, so :func:`trace_encode` tells kept runs
 from uncompressed ones by the flag at ``last`` alone.  Where the 0 flags
 form at most one stretch per 256 input bytes, as on positional inputs, it
 joins the input slices of those stretches (none at all when every byte is
-flagged); otherwise it selects the 0-flagged bytes from the whole input.
+flagged); otherwise :func:`_literals` selects the 0-flagged bytes from the
+whole input.
 Delta coding works on run ids and the columns;
 :func:`delta_encode_entries` lays a list of :class:`RunNode` out as
 columns, their bytes standing in for the input with ``last`` the
@@ -158,7 +159,7 @@ nothing left to do.
 """
 
 from dataclasses import dataclass
-from itertools import compress, cycle, islice, product, starmap
+from itertools import cycle, islice, product, starmap
 from operator import add
 from typing import Iterable
 
@@ -173,8 +174,7 @@ from .container import (
     _spans,
 )
 
-# Flips 0/1 flags into literal selectors for itertools.compress.
-_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_SELECT_BYTES = 1 << 14  # the input bytes :func:`_literals` selects from at once
 
 
 @dataclass(frozen=True)
@@ -492,6 +492,26 @@ def remove_redundant_entries(
     return list(run_list), flags, literals
 
 
+def _literals(data: bytes, flags: bytearray) -> bytes:
+    """The bytes of ``data`` whose flag (0 or 1) is 0, selected in C.
+
+    Each byte and its flag make one UTF-16-LE code unit, byte + 256 * flag.
+    A flagged byte decodes to U+0100-U+01FF, which Latin-1 cannot encode and
+    the ``ignore`` handler drops; every other code unit encodes back to its
+    byte.  The input goes through in blocks of ``_SELECT_BYTES``, so the
+    code units and their string, 4 bytes per byte, are held for one block
+    at a time.
+    """
+    selected = []
+    for i in range(0, len(data), _SELECT_BYTES):
+        block = data[i:i + _SELECT_BYTES]
+        pairs = bytearray(2 * len(block))
+        pairs[::2] = block
+        pairs[1::2] = flags[i:i + _SELECT_BYTES]
+        selected.append(pairs.decode("utf-16-le").encode("latin-1", "ignore"))
+    return b"".join(selected)
+
+
 def _encode_pipeline(data: bytes) -> tuple[
     bytearray, bytes, tuple[bytearray, bytearray, bytearray], EncoderState
 ]:
@@ -517,7 +537,7 @@ def _encode_pipeline(data: bytes) -> tuple[
     # those, and select from every byte only where they are many.
     spans = _spans(flags, len(flags) >> 8)
     if spans is None:
-        literals = bytes(compress(data, flags.translate(_INVERT)))
+        literals = _literals(data, flags)
     else:
         literals = b"".join([data[i:j] for i, j in spans])
     return flags, literals, columns, state

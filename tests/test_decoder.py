@@ -294,6 +294,49 @@ def test_roll_over_stops_where_a_window_changes(name):
         assert decode(archive) == expected
 
 
+def _recorded_windows(monkeypatch):
+    """Record every count that ``_windows`` returns to ``decode``."""
+    counts = []
+    windows = decoder_module._windows
+
+    def recorded(*args):
+        counts.append(windows(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(decoder_module, "_windows", recorded)
+    return counts
+
+
+def _queue_cases():
+    A, B, C, Z = b"ABCZ"
+    windows = _three_windows()
+    return {
+        # Entry 0 starts at circle 3, in front of entry 1, live since circle 1.
+        "start before a live entry": [(A, 3, 3), (B, 1, 5)],
+        "start between live entries": [(A, 1, 6), (C, 3, 3), (B, 1, 6)],
+        "starts in one circle": [(A, 1, 6), (C, 3, 3), (Z, 3, 4), (B, 1, 6)],
+        "end and start in one circle": [(A, 1, 3), (B, 1, 6), (C, 4, 3)],
+        "ends in one circle": [(A, 1, 3), (B, 1, 3), (C, 1, 5), (Z, 2, 2)],
+        # Windows 1 and 2 roll over at circle 128; Z starts where window 2 ends.
+        "start after a roll-over": windows + [(Z, 382, 3)],
+        # As above, and a fourth window starts there too, after Z in id order.
+        "start after a roll-over, then a window": (
+            windows + [(Z, 382, 3)] + [(c, 382, 5) for c in b"ABC"]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_queue_cases()))
+def test_queues_change_the_live_list_as_the_reference_decoder(monkeypatch, name):
+    # Every flag is 1, so each circle holds exactly its live entries' bytes,
+    # in id order; a live list changed out of order or at the wrong circle
+    # decodes other bytes.
+    rolled = _recorded_windows(monkeypatch)
+    archive = _hand_built(_queue_cases()[name])
+    assert decode(archive) == ref_decode(archive)[0]
+    assert any(rolled) == ("roll-over" in name)
+
+
 def _counted_copies(monkeypatch):
     """Record the flag position of every bulk copy ``decode`` makes."""
     copies = []
@@ -326,14 +369,7 @@ def _window_inputs():
 def test_windows_count_every_window_but_the_live_one(monkeypatch):
     # A roll-over one window short decodes the same bytes (the byte loop
     # finishes it), so only the count that _windows returns shows it.
-    counts = []
-    windows = decoder_module._windows
-
-    def recorded(*args):
-        counts.append(windows(*args))
-        return counts[-1]
-
-    monkeypatch.setattr(decoder_module, "_windows", recorded)
+    counts = _recorded_windows(monkeypatch)
     for data in _window_inputs():
         k = len(set(data))  # the unit's bytes: one entry per byte and window
         archive = compress(data)
@@ -363,14 +399,16 @@ def test_steady_copy_needs_more_than_the_threshold(monkeypatch, extra, copied):
     assert bool(copies) == copied
 
 
-@settings(max_examples=300, deadline=None)
+# At least 300 examples, more when a profile raises the default budget.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_short_circle_mutations_raise_only_codec_errors(choice):
     """1-3 overwritten bytes in the archive of a 1-4 letter input.
 
     Random and periodic inputs over small alphabets open a circle every few
-    bytes, so ``decode`` rebuilds its live list at most circles and copies
-    only the rare long steady stretches.
+    bytes, so the live list of ``decode`` changes at many circles (about
+    half of them on four random letters), and it copies only the rare long
+    steady stretches.
     """
     letters = st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True)
     alphabet = bytes(choice.draw(letters))

@@ -446,12 +446,13 @@ def test_few_literal_stretches_are_sliced_not_selected(monkeypatch, data):
     # The literals of inputs with a few stretches of them are joined from
     # input slices; selecting them would step over every input byte.
     selections = []
+    literals = encoder_module._literals
 
     def counted(*args):
         selections.append(args)
-        return itertools.compress(*args)
+        return literals(*args)
 
-    monkeypatch.setattr(encoder_module, "compress", counted)
+    monkeypatch.setattr(encoder_module, "_literals", counted)
     parts = encode(data)
     archive = compress(data)
     assert not selections
@@ -478,6 +479,28 @@ def test_literals_are_the_bytes_flagged_0(period, n, defects, rng):
     data = bytes(data)
     parts = encode(data)
     assert parts.literals == bytes(itertools.compress(data, [not f for f in parts.flags]))
+
+
+_BLOCKS = encoder_module._SELECT_BYTES * 5 // 2  # two and a half selection blocks
+
+
+@pytest.mark.parametrize(
+    "data, flags",
+    [
+        (b"", b""),
+        (bytes(range(256)), bytes(256)),
+        (bytes(range(256)), bytes([1]) * 256),
+        (bytes(range(256)) * 8, random.Random(11).choices([0, 1], k=2048)),
+        (random.Random(12).randbytes(_BLOCKS), random.Random(13).choices([0, 1], k=_BLOCKS)),
+    ],
+    ids=["empty", "all literal", "all flagged", "every byte, random flags", "blocks"],
+)
+def test_literal_selection_is_itertools_compress(data, flags):
+    # The first three cases put every byte value under each flag: a flagged
+    # byte, as a UTF-16 code unit, is never Latin-1, and an unflagged one is.
+    flags = bytearray(flags)
+    selected = bytes(itertools.compress(data, [not f for f in flags]))
+    assert encoder_module._literals(data, flags) == selected
 
 
 @pytest.mark.parametrize("unit", [b"A", b"AB", b"ABC"])
